@@ -15,16 +15,11 @@ round-k state, then one barrier applies the consensus and dual updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import (
-    SolverConfig,
-    _check_op_b_feasible,
-    _pgd,
-    project_box_sum,
-)
+from .centralized import _check_op_b_feasible, project_box_sum, project_capped_sum
 from .errors import ConvergenceError, MissingMessageError
 from .model import (
     AllocationPlan,
@@ -36,7 +31,7 @@ from .model import (
     TransportNetwork,
     marginal_perceived_cost,
     perceived_loss,
-    prelec_weight,
+    prelec_weight,  # noqa: F401  kept importable: bench/tracing.py wraps it here
     true_loss,
 )
 
@@ -55,12 +50,9 @@ __all__ = [
 
 Edge = Tuple[str, str]
 
-_INNER_CONFIG = SolverConfig(
-    step_size=1.0,
-    max_iterations=100000,
-    gradient_tolerance=1e-9,
-    objective_tolerance=1e-18,
-)
+# the target's scalar root-find stops at this relative bracket width
+_ROOT_RTOL = 1e-15
+_MAX_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -158,6 +150,48 @@ class SourceAgent:
         return dict(self.local_plan)
 
 
+def _increasing_root(f: Callable[[float], float], f_zero: float, cap: float) -> float:
+    """Root on [0, cap] of an increasing f with f(0) = f_zero <= 0 <= f(cap).
+
+    The bracket starts at [0, 1] and its upper end doubles, never past
+    ``cap``, until f changes sign; Illinois regula falsi (bisection when a
+    secant step leaves the bracket) then narrows it to a relative width of
+    ``_ROOT_RTOL``. f is only evaluated inside [0, cap].
+    """
+    lo, f_lo = 0.0, f_zero
+    if f_lo >= 0.0:
+        return lo
+    hi = min(1.0, cap)
+    f_hi = f(hi)
+    while f_hi < 0.0 and hi < cap:
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, cap)
+        f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    side = 0
+    for _ in range(_MAX_ROOT_STEPS):
+        if hi - lo <= _ROOT_RTOL * hi:
+            break
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = mid, f_mid
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)
+
+
 def target_subproblem(
     agent: TargetAgent,
     duals: Mapping[Edge, float],
@@ -165,37 +199,34 @@ def target_subproblem(
     eta: float,
 ) -> Dict[Edge, float]:
     """Minimize  U w(p(sum v)) + sum alpha v + (eta/2) sum (v - pi)^2  over
-    the target's own bound set. Strictly convex; solved by projected
-    gradient, warm-started from the agent's previous proposal."""
+    the target's own bound set. Strictly convex; solved exactly.
+
+    The optimum is  v = max(b - g'(S)/eta, 0)  with  b = pi - alpha/eta,
+    g' the marginal perceived cost and S = sum v, so only the scalar S is
+    unknown. It is the root of the increasing
+    F(S) = S - sum max(b - g'(S)/eta, 0), which lies in [0, -F(0)]. If S
+    falls outside the demand bounds, the optimum sits on the nearer bound,
+    where the perceived cost is constant: the projection of b onto
+    {v >= 0, sum v = bound}.
+    """
     spec = agent.spec
     behavior = agent.behavior
-    edges = agent.edges
-    alpha = np.array([duals[e] for e in edges])
-    pi = np.array([consensus[e] for e in edges])
+    b = [consensus[e] - duals[e] / eta for e in agent.edges]
 
-    def objective(v: np.ndarray) -> float:
-        total = float(v.sum())
-        cost = spec.loss_value * prelec_weight(
-            spec.prob_model.probability(total), behavior.gamma
-        )
-        return cost + float(alpha @ v) + 0.5 * eta * float(((v - pi) ** 2).sum())
+    def excess(total: float) -> float:
+        shift = marginal_perceived_cost(spec, behavior, total) / eta
+        return total - sum(max(x - shift, 0.0) for x in b)
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        m = marginal_perceived_cost(spec, behavior, float(v.sum()))
-        return m + alpha + eta * (v - pi)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return project_box_sum(v, spec.demand_lower, spec.demand_upper)
-
-    warm = np.array([agent.local_plan[e] for e in edges])
-    v, _, trace, converged = _pgd(
-        warm, objective, gradient, project, _INNER_CONFIG, record_trace=False
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"target subproblem at {spec.id} did not converge", trace=trace
-        )
-    return {e: float(val) for e, val in zip(edges, v)}
+    f_zero = excess(0.0)
+    total = _increasing_root(excess, f_zero, -f_zero)
+    if total > spec.demand_upper:
+        v = project_capped_sum(np.array(b), spec.demand_upper)
+    elif total < spec.demand_lower:
+        v = project_capped_sum(np.array(b), spec.demand_lower)
+    else:
+        shift = marginal_perceived_cost(spec, behavior, total) / eta
+        v = [max(x - shift, 0.0) for x in b]
+    return {e: float(val) for e, val in zip(agent.edges, v)}
 
 
 def source_subproblem(
@@ -251,13 +282,15 @@ def message_bus_round(
     for e, state in edge_states.items():
         if e not in target_props or e not in source_props:
             raise MissingMessageError(f"edge {e} missing a proposal this round")
-        state = replace(
-            state,
-            last_target_proposal=target_props[e],
-            last_source_proposal=source_props[e],
+        # consensus_update and dual_update in one constructor call: same
+        # expressions, so the same bytes
+        t, s = target_props[e], source_props[e]
+        updated[e] = EdgeState(
+            consensus=0.5 * (t + s),
+            dual=state.dual + 0.5 * eta * (t - s),
+            last_target_proposal=t,
+            last_source_proposal=s,
         )
-        state = dual_update(consensus_update(state), eta)
-        updated[e] = state
     for agent in agent_list:
         for e in agent.edges:
             agent.receive(e, updated[e].consensus, updated[e].dual)

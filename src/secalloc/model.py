@@ -181,6 +181,8 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if not self.supply_upper > 0:
             raise DomainError(f"source {self.id}: supply_upper must be > 0")
+        if not math.isfinite(self.supply_upper):
+            raise DomainError(f"source {self.id}: supply_upper must be finite")
         if not 0.0 <= self.supply_lower <= self.supply_upper:
             raise DomainError(
                 f"source {self.id}: need 0 <= supply_lower <= supply_upper"

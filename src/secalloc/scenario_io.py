@@ -310,6 +310,9 @@ def _parse_sources(node, target_ids: Sequence[str], diag: _Diag) -> List[SourceS
             if upper is not None and not upper > 0:
                 diag.add(items["supply_upper"], f"{path}.supply_upper must be > 0")
                 upper = None
+            elif upper is not None and not math.isfinite(upper):
+                diag.add(items["supply_upper"], f"{path}.supply_upper must be finite")
+                upper = None
         else:
             diag.add(item, f"{path}.supply_upper is required")
         lower = 0.0

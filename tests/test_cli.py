@@ -292,3 +292,28 @@ class TestCliContract:
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text
+
+
+class TestNonFiniteSupply:
+    SCENARIO = (
+        "behavior:\n"
+        "  gamma: 0.5\n"
+        "targets:\n"
+        "  - id: t1\n"
+        "    loss_value: 12.0\n"
+        "sources:\n"
+        "  - id: s1\n"
+        "    supply_upper: .inf\n"
+        "edges: complete\n"
+    )
+
+    @pytest.mark.parametrize("verb", ["solve", "admm", "sweep-gamma"])
+    def test_infinite_supply_is_a_scenario_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text(self.SCENARIO)
+        code = cli.main([verb, str(path), "-o", str(tmp_path / "out")])
+        assert code == cli.EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert "line 8" in err
+        assert "sources[0].supply_upper must be finite" in err
+        assert "Traceback" not in err

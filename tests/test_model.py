@@ -288,3 +288,8 @@ class TestNetworkInvariants:
         )
         assert plan.aggregate_at_target("a") == pytest.approx(3.0)
         assert plan.aggregate_at_source("s1") == pytest.approx(5.0)
+
+
+def test_source_supply_upper_must_be_finite():
+    with pytest.raises(DomainError, match="finite"):
+        SourceSpec("s", math.inf)

@@ -22,16 +22,17 @@ import numpy as np
 from .centralized import _check_op_b_feasible, project_box_sum, project_capped_sum
 from .errors import ConvergenceError, MissingMessageError
 from .model import (
-    AllocationPlan,
     BehavioralModel,
     SolveReport,
     SourceSpec,
     TargetSpec,
     TraceRecord,
     TransportNetwork,
+    loss_at_totals,
     marginal_perceived_cost,
-    perceived_loss,
-    prelec_weight,  # noqa: F401  kept importable: bench/tracing.py wraps it here
+    # kept importable: bench/tracing.py wraps these names here
+    perceived_loss,  # noqa: F401
+    prelec_weight,  # noqa: F401
     true_loss,
 )
 
@@ -297,16 +298,15 @@ def message_bus_round(
     return updated
 
 
-def _initial_consensus(network: TransportNetwork) -> Dict[Edge, float]:
+def _initial_consensus(network: TransportNetwork) -> np.ndarray:
     # zero unless some lower bound forces a head start (uniform split)
-    values: Dict[Edge, float] = {}
-    for e in network.edges:
-        t = network.target_by_id(e[0])
-        s = network.source_by_id(e[1])
-        seed_t = t.demand_lower / len(network.edges_of_target(t.id))
-        seed_s = s.supply_lower / len(network.edges_of_source(s.id))
-        values[e] = max(seed_t, seed_s)
-    return values
+    index = network.edge_index
+    seed = np.empty(len(network.edges))
+    for t, sl in zip(network.targets, index.target_slices):
+        seed[sl] = t.demand_lower / (sl.stop - sl.start)
+    for s, idx in zip(network.sources, index.source_indices):
+        seed[idx] = np.maximum(seed[idx], s.supply_lower / len(idx))
+    return seed
 
 
 def run_admm(
@@ -330,39 +330,38 @@ def run_admm(
     ]
     agents: List[Union[TargetAgent, SourceAgent]] = [*targets, *sources]
 
-    seed = _initial_consensus(network)
-    edge_states = {e: EdgeState(consensus=seed[e]) for e in network.edges}
+    index = network.edge_index
+    consensus = _initial_consensus(network)
+    edge_states = {
+        e: EdgeState(consensus=float(c)) for e, c in zip(index.edges, consensus)
+    }
     for agent in agents:
         for e in agent.edges:
             agent.receive(e, edge_states[e].consensus, edge_states[e].dual)
-
-    tau_c = {
-        e: network.source_by_id(e[1]).weight_tau
-        * network.source_by_id(e[1]).utility_slope(e[0])
-        for e in network.edges
-    }
 
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
         for agent in agents:
             agent.solve(config.eta)
-        previous = {e: s.consensus for e, s in edge_states.items()}
+        previous = consensus
         edge_states = message_bus_round(agents, edge_states, config.eta)
+        consensus = np.array([edge_states[e].consensus for e in index.edges])
 
         primal = max(
             abs(s.last_target_proposal - s.last_source_proposal)
             for s in edge_states.values()
         )
-        drift = max(
-            abs(edge_states[e].consensus - previous[e]) for e in edge_states
-        )
-        plan = AllocationPlan({e: edge_states[e].consensus for e in network.edges})
-        perceived = perceived_loss(network, plan, behavior)
-        utility = sum(tau_c[e] * edge_states[e].consensus for e in network.edges)
+        drift = float(np.abs(consensus - previous).max())
+        totals = index.target_totals(consensus)
+        perceived = loss_at_totals(network, totals, behavior.gamma)
+        # summed in edge order, not by a dot product, whose blocked
+        # accumulation moves the last bits of the reported gap
+        utility = sum((index.tau_c * consensus).tolist())
         trace.append(
             TraceRecord(iteration, primal, perceived - utility, perceived)
         )
         if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
+            plan = index.to_plan(consensus)
             return SolveReport(
                 plan=plan,
                 true_loss=true_loss(network, plan),

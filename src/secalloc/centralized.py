@@ -30,9 +30,10 @@ from .model import (
     SolveReport,
     TraceRecord,
     TransportNetwork,
+    loss_at_totals,
     marginal_perceived_cost,
     perceived_loss,
-    prelec_weight,
+    prelec_weight,  # noqa: F401  kept importable: bench/tracing.py wraps it here
     true_loss,
 )
 
@@ -98,60 +99,14 @@ def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarra
     return clipped
 
 
-class _EdgeIndex:
-    """Canonical edge vectorization of a network.
-
-    Edges follow the network's canonical (target-major) order, so each
-    target's incident edges are one contiguous slice; sources get fancy
-    index arrays.
-    """
-
-    def __init__(self, network: TransportNetwork):
-        self.network = network
-        self.edges = network.edges
-        pos = {e: k for k, e in enumerate(self.edges)}
-        self.target_slices: List[slice] = []
-        start = 0
-        for t in network.targets:
-            size = len(network.edges_of_target(t.id))
-            self.target_slices.append(slice(start, start + size))
-            start += size
-        self.source_indices = [
-            np.array([pos[e] for e in network.edges_of_source(s.id)], dtype=int)
-            for s in network.sources
-        ]
-        self.tau_c = np.array(
-            [
-                network.source_by_id(y).weight_tau
-                * network.source_by_id(y).utility_slope(x)
-                for (x, y) in self.edges
-            ]
-        )
-
-    def target_totals(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(x[sl].sum()) for sl in self.target_slices])
-
-    def to_plan(self, x: np.ndarray) -> AllocationPlan:
-        return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
-
-    def to_vector(self, plan: AllocationPlan) -> np.ndarray:
-        return np.array([plan.amounts[e] for e in self.edges], dtype=float)
-
-
-def _perceived(index: _EdgeIndex, behavior: BehavioralModel, totals: np.ndarray) -> float:
-    return sum(
-        t.loss_value * prelec_weight(t.prob_model.probability(tot), behavior.gamma)
-        for t, tot in zip(index.network.targets, totals)
-    )
-
-
 def _make_objective(
-    index: _EdgeIndex, behavior: BehavioralModel, mode: str
+    network: TransportNetwork, behavior: BehavioralModel, mode: str
 ) -> Tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
+    index = network.edge_index
     include_utility = mode == "op_b"
 
     def objective(x: np.ndarray) -> float:
-        value = _perceived(index, behavior, index.target_totals(x))
+        value = loss_at_totals(network, index.target_totals(x), behavior.gamma)
         if include_utility:
             value -= float(index.tau_c @ x)
         return value
@@ -159,7 +114,7 @@ def _make_objective(
     def gradient(x: np.ndarray) -> np.ndarray:
         totals = index.target_totals(x)
         g = np.empty(len(index.edges))
-        for t, tot, sl in zip(index.network.targets, totals, index.target_slices):
+        for t, tot, sl in zip(network.targets, totals, index.target_slices):
             g[sl] = marginal_perceived_cost(t, behavior, tot)
         if include_utility:
             g -= index.tau_c
@@ -168,8 +123,25 @@ def _make_objective(
     return objective, gradient
 
 
-def _make_projector(index: _EdgeIndex, mode: str) -> Callable[[np.ndarray], np.ndarray]:
-    network = index.network
+def _violation(network: TransportNetwork, x: np.ndarray, mode: str) -> float:
+    """Worst constraint violation of the vector x under the mode's bounds."""
+    index = network.edge_index
+    worst = float(np.maximum(-x, 0.0).max(initial=0.0))
+    for s, idx in zip(network.sources, index.source_indices):
+        tot = float(x[idx].sum())
+        lo = 0.0 if mode == "op_a" else s.supply_lower
+        worst = max(worst, lo - tot, tot - s.supply_upper)
+    if mode == "op_b":
+        for t, sl in zip(network.targets, index.target_slices):
+            tot = float(x[sl].sum())
+            worst = max(worst, t.demand_lower - tot, tot - t.demand_upper)
+    return worst
+
+
+def _make_projector(
+    network: TransportNetwork, mode: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    index = network.edge_index
     if mode == "op_a":
         # per-source groups are disjoint, so the projection is exact in one pass
         def project(x: np.ndarray) -> np.ndarray:
@@ -195,16 +167,6 @@ def _make_projector(index: _EdgeIndex, mode: str) -> Callable[[np.ndarray], np.n
             out[sl] = project_box_sum(x[sl], t.demand_lower, t.demand_upper)
         return out
 
-    def violation(x: np.ndarray) -> float:
-        worst = float(np.maximum(-x, 0.0).max(initial=0.0))
-        for s, idx in zip(network.sources, index.source_indices):
-            tot = float(x[idx].sum())
-            worst = max(worst, s.supply_lower - tot, tot - s.supply_upper)
-        for t, sl in zip(network.targets, index.target_slices):
-            tot = float(x[sl].sum())
-            worst = max(worst, t.demand_lower - tot, tot - t.demand_upper)
-        return worst
-
     def project(x: np.ndarray) -> np.ndarray:
         # Dykstra's alternating projections onto the source and target sets
         y = x.copy()
@@ -216,7 +178,7 @@ def _make_projector(index: _EdgeIndex, mode: str) -> Callable[[np.ndarray], np.n
             p = y + p - u
             y = project_targets(u + q)
             q = u + q - y
-            worst = violation(y)
+            worst = _violation(network, y, "op_b")
             if worst < _DYKSTRA_TOL:
                 return y
         if worst > _DYKSTRA_STALL_TOL:
@@ -234,7 +196,6 @@ def _pgd(
     gradient: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     config: SolverConfig,
-    record_trace: bool = True,
 ) -> Tuple[np.ndarray, int, List[TraceRecord], bool]:
     """Projected gradient descent with Armijo backtracking (halving).
 
@@ -249,8 +210,7 @@ def _pgd(
     for iteration in range(1, config.max_iterations + 1):
         g = gradient(x)
         residual = float(np.linalg.norm(x - project(x - g)))
-        if record_trace:
-            trace.append(TraceRecord(iteration, residual, fx))
+        trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, True
         step = config.step_size
@@ -272,15 +232,11 @@ def _pgd(
     return x, config.max_iterations, trace, False
 
 
-def _uniform_start(index: _EdgeIndex) -> np.ndarray:
-    x = np.zeros(len(index.edges))
-    for s, idx in zip(index.network.sources, index.source_indices):
+def _uniform_start(network: TransportNetwork) -> np.ndarray:
+    x = np.zeros(len(network.edges))
+    for s, idx in zip(network.sources, network.edge_index.source_indices):
         x[idx] = s.supply_upper / len(idx)
     return x
-
-
-def _source_utility(index: _EdgeIndex, x: np.ndarray) -> float:
-    return float(index.tau_c @ x)
 
 
 def _check_op_b_feasible(network: TransportNetwork) -> None:
@@ -302,22 +258,22 @@ def _solve(
     config: SolverConfig,
     mode: str,
 ) -> SolveReport:
-    index = _EdgeIndex(network)
-    objective, gradient = _make_objective(index, behavior, mode)
-    project = _make_projector(index, mode)
-    x0 = _uniform_start(index)
+    objective, gradient = _make_objective(network, behavior, mode)
+    project = _make_projector(network, mode)
+    x0 = _uniform_start(network)
     x, iterations, trace, converged = _pgd(x0, objective, gradient, project, config)
     if not converged:
         raise ConvergenceError(
             f"{mode} solve did not converge in {config.max_iterations} iterations",
             trace=trace,
         )
+    index = network.edge_index
     plan = index.to_plan(x)
     return SolveReport(
         plan=plan,
         true_loss=true_loss(network, plan),
         perceived_loss=perceived_loss(network, plan, behavior),
-        source_utility=_source_utility(index, x),
+        source_utility=float(index.tau_c @ x),
         iterations=iterations,
         residual_trace=tuple(trace),
         converged=True,
@@ -348,8 +304,8 @@ def project_feasible(
     raw: AllocationPlan, network: TransportNetwork, mode: str
 ) -> AllocationPlan:
     """Euclidean projection of a raw plan onto the mode's feasible set."""
-    index = _EdgeIndex(network)
-    project = _make_projector(index, mode)
+    index = network.edge_index
+    project = _make_projector(network, mode)
     return index.to_plan(project(index.to_vector(raw)))
 
 
@@ -363,10 +319,9 @@ def kkt_residual(
 
     Zero exactly at an optimal plan of the given mode.
     """
-    index = _EdgeIndex(network)
-    _, gradient = _make_objective(index, behavior, mode)
-    project = _make_projector(index, mode)
-    x = index.to_vector(plan)
+    _, gradient = _make_objective(network, behavior, mode)
+    project = _make_projector(network, mode)
+    x = network.edge_index.to_vector(plan)
     return float(np.linalg.norm(x - project(x - gradient(x))))
 
 
@@ -374,15 +329,4 @@ def feasibility_violation(
     network: TransportNetwork, plan: AllocationPlan, mode: str
 ) -> float:
     """Worst constraint violation of a plan under the mode's bounds."""
-    index = _EdgeIndex(network)
-    x = index.to_vector(plan)
-    worst = float(np.maximum(-x, 0.0).max(initial=0.0))
-    for s, idx in zip(network.sources, index.source_indices):
-        tot = float(x[idx].sum())
-        lo = 0.0 if mode == "op_a" else s.supply_lower
-        worst = max(worst, lo - tot, tot - s.supply_upper)
-    if mode == "op_b":
-        for t, sl in zip(network.targets, index.target_slices):
-            tot = float(x[sl].sum())
-            worst = max(worst, t.demand_lower - tot, tot - t.demand_upper)
-    return worst
+    return _violation(network, network.edge_index.to_vector(plan), mode)

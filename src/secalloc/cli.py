@@ -67,13 +67,18 @@ def _admm_config(scenario: scenario_io.ScenarioFile, args) -> admm_mod.AdmmConfi
     return replace(config, **merged)
 
 
+def _aggregates(network: TransportNetwork, report: SolveReport) -> List[float]:
+    index = network.edge_index
+    return index.target_totals(index.to_vector(report.plan))
+
+
 def _plan_lines(network: TransportNetwork, report: SolveReport) -> List[str]:
     lines = ["plan:"]
     for edge in network.edges:
         lines.append(f"  {edge[0]} {edge[1]} {_fmt(report.plan.amounts[edge])}")
     lines.append("aggregates:")
-    for t in network.targets:
-        lines.append(f"  {t.id} {_fmt(report.plan.aggregate_at_target(t.id))}")
+    for t, total in zip(network.targets, _aggregates(network, report)):
+        lines.append(f"  {t.id} {_fmt(total)}")
     return lines
 
 
@@ -169,9 +174,7 @@ def _grid(args, lo_ok, hi_ok, what: str) -> np.ndarray:
 def _sample(
     network: TransportNetwork, behavior: BehavioralModel, value: float, report: SolveReport
 ) -> scenario_io.SweepSample:
-    aggregates = tuple(
-        report.plan.aggregate_at_target(t.id) for t in network.targets
-    )
+    aggregates = tuple(_aggregates(network, report))
     return scenario_io.SweepSample(
         param_value=float(value),
         aggregates=aggregates,

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError, PlanMismatchError
 
@@ -26,6 +29,7 @@ __all__ = [
     "TargetSpec",
     "SourceSpec",
     "TransportNetwork",
+    "EdgeIndex",
     "AllocationPlan",
     "TraceRecord",
     "SolveReport",
@@ -33,6 +37,7 @@ __all__ = [
     "attack_probability",
     "true_loss",
     "perceived_loss",
+    "loss_at_totals",
     "marginal_perceived_cost",
 ]
 
@@ -189,6 +194,13 @@ class SourceSpec:
             )
         if self.weight_tau < 0:
             raise DomainError(f"source {self.id}: weight_tau must be >= 0")
+        if not math.isfinite(self.weight_tau):
+            raise DomainError(f"source {self.id}: weight_tau must be finite")
+        for target_id, slope in self.utility_coeffs.items():
+            if not math.isfinite(slope):
+                raise DomainError(
+                    f"source {self.id}: utility_coeffs.{target_id} must be finite"
+                )
 
     def utility_slope(self, target_id: str) -> float:
         return self.utility_coeffs.get(target_id, 1.0)
@@ -200,42 +212,43 @@ class TransportNetwork:
 
     Edges are (target_id, source_id) pairs, stored in canonical order
     (the targets' listed order, then the sources' listed order). Every
-    node must be incident to at least one edge.
+    node must be incident to at least one edge. ``edge_index``, the array
+    view of the edges that every solver shares, is built once, here.
     """
 
     targets: Tuple[TargetSpec, ...]
     sources: Tuple[SourceSpec, ...]
     edges: Tuple[Tuple[str, str], ...]
+    edge_index: "EdgeIndex" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        target_ids = [t.id for t in self.targets]
-        source_ids = [s.id for s in self.sources]
-        if len(set(target_ids)) != len(target_ids):
+        tpos = {t.id: i for i, t in enumerate(self.targets)}
+        spos = {s.id: i for i, s in enumerate(self.sources)}
+        if len(tpos) != len(self.targets):
             raise DomainError("duplicate target ids")
-        if len(set(source_ids)) != len(source_ids):
+        if len(spos) != len(self.sources):
             raise DomainError("duplicate source ids")
-        tset, sset = set(target_ids), set(source_ids)
         seen = set()
         for edge in self.edges:
             x, y = edge
-            if x not in tset:
+            if x not in tpos:
                 raise DomainError(f"edge {edge} references unknown target {x!r}")
-            if y not in sset:
+            if y not in spos:
                 raise DomainError(f"edge {edge} references unknown source {y!r}")
             if edge in seen:
                 raise DomainError(f"duplicate edge {edge}")
             seen.add(edge)
-        for x in target_ids:
-            if not any(e[0] == x for e in self.edges):
-                raise DomainError(f"target {x!r} has no incident edge")
-        for y in source_ids:
-            if not any(e[1] == y for e in self.edges):
-                raise DomainError(f"source {y!r} has no incident edge")
         # re-store edges in canonical (target-major) order
-        tpos = {x: i for i, x in enumerate(target_ids)}
-        spos = {y: i for i, y in enumerate(source_ids)}
         ordered = tuple(sorted(self.edges, key=lambda e: (tpos[e[0]], spos[e[1]])))
         object.__setattr__(self, "edges", ordered)
+        index = EdgeIndex(self, tpos, spos)
+        for t, sl in zip(self.targets, index.target_slices):
+            if sl.start == sl.stop:
+                raise DomainError(f"target {t.id!r} has no incident edge")
+        for s, idx in zip(self.sources, index.source_indices):
+            if idx.size == 0:
+                raise DomainError(f"source {s.id!r} has no incident edge")
+        object.__setattr__(self, "edge_index", index)
 
     @classmethod
     def complete(
@@ -245,25 +258,66 @@ class TransportNetwork:
         return cls(tuple(targets), tuple(sources), edges)
 
     def target_by_id(self, target_id: str) -> TargetSpec:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise KeyError(target_id)
+        return self.targets[self.edge_index.target_pos[target_id]]
 
     def source_by_id(self, source_id: str) -> SourceSpec:
-        for s in self.sources:
-            if s.id == source_id:
-                return s
-        raise KeyError(source_id)
+        return self.sources[self.edge_index.source_pos[source_id]]
 
     def edges_of_target(self, target_id: str) -> Tuple[Tuple[str, str], ...]:
-        return tuple(e for e in self.edges if e[0] == target_id)
+        index = self.edge_index
+        return self.edges[index.target_slices[index.target_pos[target_id]]]
 
     def edges_of_source(self, source_id: str) -> Tuple[Tuple[str, str], ...]:
-        return tuple(e for e in self.edges if e[1] == source_id)
+        index = self.edge_index
+        return tuple(
+            self.edges[k] for k in index.source_indices[index.source_pos[source_id]]
+        )
 
     def total_supply(self) -> float:
         return sum(s.supply_upper for s in self.sources)
+
+
+class EdgeIndex:
+    """Array view of a network's canonical edge order.
+
+    Each target's incident edges are one contiguous slice of the
+    target-major order; each source gets the array of its edge positions.
+    ``tau_c`` holds the per-edge utility weight  tau_y * c_xy.  Built by
+    :class:`TransportNetwork`; the arrays are read-only.
+    """
+
+    def __init__(
+        self,
+        network: TransportNetwork,
+        target_pos: Dict[str, int],
+        source_pos: Dict[str, int],
+    ):
+        self.edges = network.edges
+        self.target_pos = target_pos
+        self.source_pos = source_pos
+        sizes = [0] * len(network.targets)
+        members: List[List[int]] = [[] for _ in network.sources]
+        tau_c = np.empty(len(self.edges))
+        for k, (x, y) in enumerate(self.edges):
+            sizes[target_pos[x]] += 1
+            members[source_pos[y]].append(k)
+            source = network.sources[source_pos[y]]
+            tau_c[k] = source.weight_tau * source.utility_slope(x)
+        ends = accumulate(sizes)
+        self.target_slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        self.source_indices = [np.array(m, dtype=int) for m in members]
+        for array in (*self.source_indices, tau_c):
+            array.flags.writeable = False
+        self.tau_c = tau_c
+
+    def target_totals(self, x: np.ndarray) -> List[float]:
+        return [float(x[sl].sum()) for sl in self.target_slices]
+
+    def to_plan(self, x: np.ndarray) -> "AllocationPlan":
+        return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
+
+    def to_vector(self, plan: "AllocationPlan") -> np.ndarray:
+        return np.array([plan.amounts[e] for e in self.edges], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -316,18 +370,27 @@ class SolveReport:
     converged: bool
 
 
-def _check_plan(network: TransportNetwork, plan: AllocationPlan) -> None:
+def _plan_totals(network: TransportNetwork, plan: AllocationPlan) -> List[float]:
     if set(plan.amounts) != set(network.edges):
         raise PlanMismatchError("plan edges differ from network edges")
+    index = network.edge_index
+    return index.target_totals(index.to_vector(plan))
+
+
+def loss_at_totals(
+    network: TransportNetwork, totals: Sequence[float], gamma: float
+) -> float:
+    """Weighted loss  sum_x U_x * w(p_x(totals[x]))  over the network's
+    targets in listed order; w is the identity at gamma = 1."""
+    return sum(
+        t.loss_value * prelec_weight(t.prob_model.probability(tot), gamma)
+        for t, tot in zip(network.targets, totals)
+    )
 
 
 def true_loss(network: TransportNetwork, plan: AllocationPlan) -> float:
     """Expected aggregated loss  sum_x U_x * p_x(total at x)."""
-    _check_plan(network, plan)
-    return sum(
-        t.loss_value * t.prob_model.probability(plan.aggregate_at_target(t.id))
-        for t in network.targets
-    )
+    return loss_at_totals(network, _plan_totals(network, plan), 1.0)
 
 
 def perceived_loss(
@@ -337,14 +400,7 @@ def perceived_loss(
 
     Coincides with :func:`true_loss` when gamma = 1.
     """
-    _check_plan(network, plan)
-    return sum(
-        t.loss_value
-        * prelec_weight(
-            t.prob_model.probability(plan.aggregate_at_target(t.id)), behavior.gamma
-        )
-        for t in network.targets
-    )
+    return loss_at_totals(network, _plan_totals(network, plan), behavior.gamma)
 
 
 def marginal_perceived_cost(

@@ -329,6 +329,8 @@ def _parse_sources(node, target_ids: Sequence[str], diag: _Diag) -> List[SourceS
             if value is not None:
                 if value < 0:
                     diag.add(items["weight_tau"], f"{path}.weight_tau must be >= 0")
+                elif not math.isfinite(value):
+                    diag.add(items["weight_tau"], f"{path}.weight_tau must be finite")
                 else:
                     tau = value
         coeffs: Dict[str, float] = {}
@@ -348,7 +350,11 @@ def _parse_sources(node, target_ids: Sequence[str], diag: _Diag) -> List[SourceS
                     value = _to_float(
                         value_node, f"{path}.utility_coeffs.{tid}", diag
                     )
-                    if value is not None:
+                    if value is not None and not math.isfinite(value):
+                        diag.add(
+                            value_node, f"{path}.utility_coeffs.{tid} must be finite"
+                        )
+                    elif value is not None:
                         coeffs[tid] = value
         if upper is None or lower > upper:
             if upper is not None and lower > upper:
@@ -391,11 +397,13 @@ def _parse_edges(
             continue
         seen.add((x, y))
         edges.append((x, y))
+    wired_targets = {x for x, _ in edges}
+    wired_sources = {y for _, y in edges}
     for x in target_ids:
-        if not any(e[0] == x for e in edges):
+        if x not in wired_targets:
             diag.add(node, f"target {x!r} has no incident edge")
     for y in source_ids:
-        if not any(e[1] == y for e in edges):
+        if y not in wired_sources:
             diag.add(node, f"source {y!r} has no incident edge")
     return False, edges
 

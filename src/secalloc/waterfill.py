@@ -71,23 +71,12 @@ def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
             "threshold requires probability models of the same family"
         )
     rhs = marginal_perceived_cost(j, behavior, 0.0)
-
-    def f(t: float) -> float:
-        return marginal_perceived_cost(i, behavior, t) - rhs
-
-    if f(0.0) >= 0.0:
+    if marginal_perceived_cost(i, behavior, 0.0) >= rhs:
         raise PreconditionError(
             "marginal ordering violated at zero allocation; "
             "are the probability models identical?"
         )
-    hi = 1.0
-    for _ in range(_MAX_BISECT):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise PreconditionError("failed to bracket the threshold")
-    return _bisect(f, 0.0, hi)
+    return _invert_marginal(i, behavior, rhs)
 
 
 @dataclass(frozen=True)
@@ -150,8 +139,12 @@ def _invert_marginal(
         return marginal_perceived_cost(target, behavior, t) - level
 
     hi = 1.0
-    while f(hi) < 0.0:
+    for _ in range(_MAX_BISECT):
+        if f(hi) >= 0.0:
+            break
         hi *= 2.0
+    else:
+        raise PreconditionError("failed to bracket the marginal level")
     return _bisect(f, 0.0, hi)
 
 
@@ -166,27 +159,19 @@ def _aggregates_at_budget(
     if budget <= 0.0:
         return [0.0] * len(targets)
 
-    def total(u: float) -> float:
+    def surplus(u: float) -> float:
         level = -math.exp(u)
-        return sum(_invert_marginal(t, behavior, level) for t in targets)
+        return budget - sum(_invert_marginal(t, behavior, level) for t in targets)
 
     lo, hi, step = -1.0, 1.0, 1.0
-    while total(lo) < budget:
+    while surplus(lo) > 0.0:
         lo -= step
         step *= 2.0
     step = 1.0
-    while hi < 700.0 and total(hi) > budget:
+    while hi < 700.0 and surplus(hi) < 0.0:
         hi += step
         step *= 2.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if total(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-    level = -math.exp(0.5 * (lo + hi))
+    level = -math.exp(_bisect(surplus, lo, hi))
     return [_invert_marginal(t, behavior, level) for t in targets]
 
 
@@ -227,7 +212,6 @@ def waterfill_allocate(
     ordered = _require_analytical(network)
     budget = network.total_supply()
     points = _breakpoints(ordered, behavior)
-    final = _aggregates_at_budget(ordered, behavior, budget)
 
     amounts: Dict[Tuple[str, str], float] = {}
     previous = [0.0] * len(ordered)
@@ -239,10 +223,12 @@ def waterfill_allocate(
             amounts[(t.id, source.id)] = max(after - before, 0.0)
         previous = current
 
+    # the running spend ends bit-equal to the budget (the same additions
+    # in the same order), so the last profile is the full-budget one
     return WaterfillTrace(
         activation_order=tuple(t.id for t in ordered),
         breakpoints=tuple(points),
-        final_aggregates={t.id: agg for t, agg in zip(ordered, final)},
+        final_aggregates={t.id: agg for t, agg in zip(ordered, previous)},
         per_source_plan=AllocationPlan(amounts),
     )
 

@@ -317,3 +317,41 @@ class TestNonFiniteSupply:
         assert "line 8" in err
         assert "sources[0].supply_upper must be finite" in err
         assert "Traceback" not in err
+
+
+class TestNonFiniteSourceWeights:
+    SCENARIO = (
+        "behavior:\n"
+        "  gamma: 0.5\n"
+        "targets:\n"
+        "  - id: t1\n"
+        "    loss_value: 12.0\n"
+        "sources:\n"
+        "  - id: s1\n"
+        "    supply_upper: 10.0\n"
+        "    {line}\n"
+        "edges: complete\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("weight_tau: .inf", "sources[0].weight_tau must be finite"),
+            ("weight_tau: nan", "sources[0].weight_tau must be finite"),
+            ("utility_coeffs: {t1: .inf}", "sources[0].utility_coeffs.t1 must be finite"),
+            ("utility_coeffs: {t1: -.inf}", "sources[0].utility_coeffs.t1 must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["solve", "--mode", "op_b"], ["admm"]])
+    def test_non_finite_weight_is_a_scenario_error(
+        self, line, message, argv, tmp_path, capsys
+    ):
+        path = tmp_path / "inf.yaml"
+        path.write_text(self.SCENARIO.format(line=line))
+        verb, *flags = argv
+        code = cli.main([verb, str(path), *flags, "-o", str(tmp_path / "out")])
+        assert code == cli.EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert "line 9" in err
+        assert message in err
+        assert "Traceback" not in err

@@ -293,3 +293,15 @@ class TestNetworkInvariants:
 def test_source_supply_upper_must_be_finite():
     with pytest.raises(DomainError, match="finite"):
         SourceSpec("s", math.inf)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_source_weight_tau_must_be_finite(value):
+    with pytest.raises(DomainError, match="weight_tau must be finite"):
+        SourceSpec("s", 1.0, weight_tau=value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_source_utility_coeffs_must_be_finite(value):
+    with pytest.raises(DomainError, match="utility_coeffs.t must be finite"):
+        SourceSpec("s", 1.0, utility_coeffs={"t": value})

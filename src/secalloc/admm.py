@@ -15,7 +15,7 @@ round-k state, then one barrier applies the consensus and dual updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .model import (
     TargetSpec,
     TraceRecord,
     TransportNetwork,
+    _increasing_root,
     loss_at_totals,
     marginal_perceived_cost,
     # kept importable: bench/tracing.py wraps these names here
@@ -50,10 +51,6 @@ __all__ = [
 ]
 
 Edge = Tuple[str, str]
-
-# the target's scalar root-find stops at this relative bracket width
-_ROOT_RTOL = 1e-15
-_MAX_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -149,48 +146,6 @@ class SourceAgent:
 
     def propose(self) -> Mapping[Edge, float]:
         return dict(self.local_plan)
-
-
-def _increasing_root(f: Callable[[float], float], f_zero: float, cap: float) -> float:
-    """Root on [0, cap] of an increasing f with f(0) = f_zero <= 0 <= f(cap).
-
-    The bracket starts at [0, 1] and its upper end doubles, never past
-    ``cap``, until f changes sign; Illinois regula falsi (bisection when a
-    secant step leaves the bracket) then narrows it to a relative width of
-    ``_ROOT_RTOL``. f is only evaluated inside [0, cap].
-    """
-    lo, f_lo = 0.0, f_zero
-    if f_lo >= 0.0:
-        return lo
-    hi = min(1.0, cap)
-    f_hi = f(hi)
-    while f_hi < 0.0 and hi < cap:
-        lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, cap)
-        f_hi = f(hi)
-    if f_hi <= 0.0:
-        return hi
-    side = 0
-    for _ in range(_MAX_ROOT_STEPS):
-        if hi - lo <= _ROOT_RTOL * hi:
-            break
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid < 0.0:
-            lo, f_lo = mid, f_mid
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = mid, f_mid
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
 
 
 def target_subproblem(

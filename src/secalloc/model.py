@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,13 @@ __all__ = [
     "loss_at_totals",
     "marginal_perceived_cost",
 ]
+
+# each probability family's baseline must exceed this (ints, as messages print them)
+_MIN_BASELINE = {"exponential": 0, "reciprocal": 1}
+
+# the shared scalar root-find stops at this relative bracket width
+_ROOT_RTOL = 1e-15
+_MAX_ROOT_STEPS = 200
 
 
 def prelec_weight(p: float, gamma: float) -> float:
@@ -80,18 +87,11 @@ class AttackProbabilityModel:
     baseline: float
 
     def __post_init__(self) -> None:
-        if self.family == "exponential":
-            if not self.baseline > 0:
-                raise DomainError(
-                    f"exponential baseline must be > 0, got {self.baseline}"
-                )
-        elif self.family == "reciprocal":
-            if not self.baseline > 1:
-                raise DomainError(
-                    f"reciprocal baseline must be > 1, got {self.baseline}"
-                )
-        else:
+        if self.family not in _MIN_BASELINE:
             raise DomainError(f"unknown probability family {self.family!r}")
+        low = _MIN_BASELINE[self.family]
+        if not self.baseline > low:
+            raise DomainError(f"{self.family} baseline must be > {low}, got {self.baseline}")
 
     @classmethod
     def exponential(cls, baseline: float) -> "AttackProbabilityModel":
@@ -107,6 +107,25 @@ class AttackProbabilityModel:
         if self.family == "exponential":
             return math.exp(-total_received - self.baseline)
         return 1.0 / (total_received + self.baseline)
+
+    # log space, L = -log p, for callers that must not form p (it underflows
+    # at large totals); elementwise on arrays, the sign of t is not checked
+    def neg_log_probability(self, total_received):
+        """L(t) = -log p(t):  t + r  or  log(t + r)."""
+        if self.family == "exponential":
+            return total_received + self.baseline
+        return np.log(total_received + self.baseline)
+
+    def amount_at(self, neg_log_p):
+        """Inverse of :meth:`neg_log_probability`: the total t with L(t) = L."""
+        if self.family == "exponential":
+            return neg_log_p - self.baseline
+        return np.exp(neg_log_p) - self.baseline
+
+    @property
+    def log_rate_slope(self) -> float:
+        """k with  log(dL/dt) = k * L:  0 (dL/dt = 1) or -1 (dL/dt = 1/(t + r))."""
+        return 0.0 if self.family == "exponential" else -1.0
 
     def derivative(self, total_received: float) -> float:
         """dp/dt, always negative."""
@@ -431,3 +450,45 @@ def marginal_perceived_cost(
         * target.prob_model.log_derivative(total_received)
         * weight
     )
+
+
+def _increasing_root(f: Callable[[float], float], f_zero: float, cap: float) -> float:
+    """Root on [0, cap] of an increasing f with f(0) = f_zero <= 0 <= f(cap).
+
+    The bracket starts at [0, 1] and its upper end doubles, never past
+    ``cap``, until f changes sign; Illinois regula falsi (bisection when a
+    secant step leaves the bracket) then narrows it to a relative width of
+    ``_ROOT_RTOL``. f is only evaluated inside [0, cap].
+    """
+    lo, f_lo = 0.0, f_zero
+    if f_lo >= 0.0:
+        return lo
+    hi = min(1.0, cap)
+    f_hi = f(hi)
+    while f_hi < 0.0 and hi < cap:
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, cap)
+        f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    side = 0
+    for _ in range(_MAX_ROOT_STEPS):
+        if hi - lo <= _ROOT_RTOL * hi:
+            break
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = mid, f_mid
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)

@@ -30,13 +30,14 @@ raising, so a broken file can be fixed in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
 from .errors import DomainError, ScenarioError
 from .model import (
+    _MIN_BASELINE,
     AttackProbabilityModel,
     BehavioralModel,
     SolveReport,
@@ -199,14 +200,12 @@ def _parse_prob_model(
             diag.add(items[key], f"unknown key {path}.{key}")
     if family is None or baseline is None:
         return None
-    if family not in ("exponential", "reciprocal"):
+    if family not in _MIN_BASELINE:
         diag.add(items["family"], f"{path}.family must be exponential or reciprocal")
         return None
-    if family == "exponential" and not baseline > 0:
-        diag.add(items["baseline"], f"{path}.baseline must be > 0 for exponential")
-        return None
-    if family == "reciprocal" and not baseline > 1:
-        diag.add(items["baseline"], f"{path}.baseline must be > 1 for reciprocal")
+    low = _MIN_BASELINE[family]
+    if not baseline > low:
+        diag.add(items["baseline"], f"{path}.baseline must be > {low} for {family}")
         return None
     return AttackProbabilityModel(family, baseline)
 
@@ -517,13 +516,13 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ScenarioError(diag.messages)
 
     # fill default utility slopes so serialization is canonical
-    filled_sources = []
-    for s in sources:
-        incident = [x for (x, y) in edges if y == s.id]
-        coeffs = {x: s.utility_coeffs.get(x, 1.0) for x in incident}
-        filled_sources.append(
-            SourceSpec(s.id, s.supply_upper, s.supply_lower, s.weight_tau, coeffs)
-        )
+    incident: Dict[str, List[str]] = {s.id: [] for s in sources}
+    for x, y in edges:
+        incident[y].append(x)
+    filled_sources = [
+        replace(s, utility_coeffs={x: s.utility_coeffs.get(x, 1.0) for x in incident[s.id]})
+        for s in sources
+    ]
 
     try:
         network = TransportNetwork(tuple(targets), tuple(filled_sources), tuple(edges))

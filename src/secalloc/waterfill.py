@@ -8,23 +8,31 @@ common marginal "water level", and so on. The budget level at which
 target j starts receiving resources is the sum of pairwise thresholds
 pi_i^{j*} over all higher-valued targets i.
 
-Everything here relies only on the strict monotonicity of the marginal
-cost (it rises continuously to 0), so plain bisection is globally safe:
-no derivatives, no line searches.
+All of it inverts one function. With L = -log p and log(dL/dt) = k L (k
+set by the family), log(-marginal / U) = psi(L) = log gamma +
+(gamma - 1) log L - L^gamma + k L, strictly decreasing and convex for
+L > 0. So Newton's method started at L(0), below the root, climbs to it
+monotonically (every tangent lies under psi) and needs no bracket; p,
+which underflows at large totals, is never formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .errors import PreconditionError
 from .model import (
+    _MAX_ROOT_STEPS,
     AllocationPlan,
+    AttackProbabilityModel,
     BehavioralModel,
     TargetSpec,
     TransportNetwork,
+    _increasing_root,
     marginal_perceived_cost,
 )
 
@@ -38,21 +46,43 @@ __all__ = [
     "gamma_sensitivity",
 ]
 
-_XTOL = 1e-13
-_MAX_BISECT = 200
+
+def _psi(model: AttackProbabilityModel, gamma: float, big_l):
+    """psi(L) = log(-marginal / U) and its slope d psi / dL."""
+    power = big_l**gamma
+    k = model.log_rate_slope
+    value = math.log(gamma) + (gamma - 1.0) * np.log(big_l) - power + k * big_l
+    return value, (gamma - 1.0 - gamma * power) / big_l + k
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of an increasing f with f(lo) <= 0 <= f(hi), to width _XTOL."""
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _XTOL:
+def _amounts_at_level(
+    model: AttackProbabilityModel, gamma: float, level: np.ndarray
+) -> np.ndarray:
+    """Amounts t with psi(L(t)) = level, elementwise, by Newton from L(0)
+    until no element moves up; exactly 0.0 where psi(L(0)) <= level."""
+    start = model.neg_log_probability(0.0)
+    big_l = np.full(np.shape(level), start)
+    for _ in range(_MAX_ROOT_STEPS):
+        value, slope = _psi(model, gamma, big_l)
+        step = big_l - (value - level) / slope
+        moved = step > big_l
+        if not moved.any():
             break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        big_l = np.where(moved, step, big_l)
+    return np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
+
+
+def _threshold_matrix(
+    rows: Sequence[TargetSpec], cols: Sequence[TargetSpec], gamma: float
+) -> np.ndarray:
+    """theta[a, b]: the amount at which rows[a]'s marginal falls to cols[b]'s
+    at zero, 0.0 where it already sits at or above it. The rows share one
+    probability model, and every model is of one family."""
+    l_zero = np.array([t.prob_model.neg_log_probability(0.0) for t in cols])
+    col_psi = _psi(cols[0].prob_model, gamma, l_zero)[0]
+    col_level = np.log([t.loss_value for t in cols]) + col_psi
+    row_log_u = np.log([t.loss_value for t in rows])
+    return _amounts_at_level(rows[0].prob_model, gamma, col_level - row_log_u[:, None])
 
 
 def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
@@ -76,7 +106,7 @@ def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
             "marginal ordering violated at zero allocation; "
             "are the probability models identical?"
         )
-    return _invert_marginal(i, behavior, rhs)
+    return float(_threshold_matrix([i], [j], behavior.gamma)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -103,7 +133,9 @@ class WaterfillTrace:
     per_source_plan: AllocationPlan
 
 
-def _ordered_targets(network: TransportNetwork) -> List[TargetSpec]:
+def _require_analytical(network: TransportNetwork) -> List[TargetSpec]:
+    if len(network.edges) != len(network.targets) * len(network.sources):
+        raise PreconditionError("analytical water-filling requires a complete network")
     ordered = sorted(network.targets, key=lambda t: -t.loss_value)
     for a, b in zip(ordered, ordered[1:]):
         if not a.loss_value > b.loss_value:
@@ -111,92 +143,52 @@ def _ordered_targets(network: TransportNetwork) -> List[TargetSpec]:
                 f"loss values must be strictly ordered; targets {a.id} and "
                 f"{b.id} tie at {a.loss_value}"
             )
+    if any(t.prob_model != ordered[0].prob_model for t in ordered[1:]):
+        raise PreconditionError(
+            "analytical water-filling requires identical probability models"
+        )
     return ordered
-
-
-def _require_analytical(network: TransportNetwork) -> List[TargetSpec]:
-    if len(network.edges) != len(network.targets) * len(network.sources):
-        raise PreconditionError("analytical water-filling requires a complete network")
-    ordered = _ordered_targets(network)
-    model = ordered[0].prob_model
-    for t in ordered[1:]:
-        if t.prob_model != model:
-            raise PreconditionError(
-                "analytical water-filling requires identical probability models"
-            )
-    return ordered
-
-
-def _invert_marginal(
-    target: TargetSpec, behavior: BehavioralModel, level: float
-) -> float:
-    """Amount t with marginal(t) = level, or 0 if the marginal at zero
-    already sits above the level. level must be negative."""
-    if marginal_perceived_cost(target, behavior, 0.0) >= level:
-        return 0.0
-
-    def f(t: float) -> float:
-        return marginal_perceived_cost(target, behavior, t) - level
-
-    hi = 1.0
-    for _ in range(_MAX_BISECT):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise PreconditionError("failed to bracket the marginal level")
-    return _bisect(f, 0.0, hi)
 
 
 def _aggregates_at_budget(
-    targets: Sequence[TargetSpec], behavior: BehavioralModel, budget: float
+    targets: Sequence[TargetSpec], gamma: float, budget: float
 ) -> List[float]:
     """Common-water-level aggregates exhausting the given budget.
 
-    The water level lambda < 0 is found by bisection on u with
-    lambda = -exp(u); total allocation is monotone decreasing in u.
+    The top target's amount t1 in [0, budget] sets the level,
+    psi(L(t1)) + log U_1; every other target takes the amount where its
+    own marginal meets that level. The spend grows with t1, so t1 is the
+    root of spend - budget.
     """
-    if budget <= 0.0:
-        return [0.0] * len(targets)
+    model = targets[0].prob_model
+    log_u = np.log([t.loss_value for t in targets])
+    offsets = log_u[0] - log_u[1:]
 
-    def surplus(u: float) -> float:
-        level = -math.exp(u)
-        return budget - sum(_invert_marginal(t, behavior, level) for t in targets)
+    def others(top: float) -> np.ndarray:
+        level = _psi(model, gamma, model.neg_log_probability(top))[0]
+        return _amounts_at_level(model, gamma, level + offsets)
 
-    lo, hi, step = -1.0, 1.0, 1.0
-    while surplus(lo) > 0.0:
-        lo -= step
-        step *= 2.0
-    step = 1.0
-    while hi < 700.0 and surplus(hi) < 0.0:
-        hi += step
-        step *= 2.0
-    level = -math.exp(_bisect(surplus, lo, hi))
-    return [_invert_marginal(t, behavior, level) for t in targets]
+    top = _increasing_root(lambda t1: t1 + float(others(t1).sum()) - budget, -budget, budget)
+    return [top, *others(top).tolist()]
 
 
 def build_threshold_table(
     network: TransportNetwork, behavior: BehavioralModel
 ) -> ThresholdTable:
     ordered = _require_analytical(network)
-    entries: Dict[Tuple[str, str], float] = {}
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            entries[(ordered[a].id, ordered[b].id)] = threshold(
-                ordered[a], ordered[b], behavior
-            )
-    return ThresholdTable(entries)
+    theta = _threshold_matrix(ordered, ordered, behavior.gamma)
+    return ThresholdTable(
+        {
+            (ordered[a].id, ordered[b].id): float(theta[a, b])
+            for a in range(len(ordered))
+            for b in range(a + 1, len(ordered))
+        }
+    )
 
 
-def _breakpoints(
-    ordered: Sequence[TargetSpec], behavior: BehavioralModel
-) -> List[float]:
-    points = [0.0]
-    for j in range(1, len(ordered)):
-        points.append(
-            sum(threshold(ordered[i], ordered[j], behavior) for i in range(j))
-        )
-    return points
+def _breakpoints(ordered: Sequence[TargetSpec], gamma: float) -> List[float]:
+    # theta[i, j] is 0 unless target i is valued above target j
+    return _threshold_matrix(ordered, ordered, gamma).sum(axis=0).tolist()
 
 
 def waterfill_allocate(
@@ -211,14 +203,14 @@ def waterfill_allocate(
     """
     ordered = _require_analytical(network)
     budget = network.total_supply()
-    points = _breakpoints(ordered, behavior)
+    points = _breakpoints(ordered, behavior.gamma)
 
     amounts: Dict[Tuple[str, str], float] = {}
     previous = [0.0] * len(ordered)
     spent = 0.0
     for source in network.sources:
         spent = min(spent + source.supply_upper, budget)
-        current = _aggregates_at_budget(ordered, behavior, spent)
+        current = _aggregates_at_budget(ordered, behavior.gamma, spent)
         for t, before, after in zip(ordered, previous, current):
             amounts[(t.id, source.id)] = max(after - before, 0.0)
         previous = current
@@ -240,7 +232,7 @@ def active_target_count(
     breakpoint lies strictly below the total budget."""
     ordered = _require_analytical(network)
     budget = network.total_supply()
-    return sum(1 for b in _breakpoints(ordered, behavior) if budget > b)
+    return sum(1 for b in _breakpoints(ordered, behavior.gamma) if budget > b)
 
 
 def gamma_sensitivity(
@@ -254,27 +246,17 @@ def gamma_sensitivity(
     negative, so a more behavioral planner activates lower-valued targets
     later.
     """
-    one_over_e = math.exp(-1.0)
     for t in (i, j):
-        if not t.prob_model.probability(0.0) < one_over_e:
+        if not t.prob_model.neg_log_probability(0.0) > 1.0:
             raise PreconditionError(
                 f"gamma sensitivity requires p(0) < 1/e at target {t.id}"
             )
     pi_star = threshold(i, j, behavior)  # also validates U_i > U_j
     gamma = behavior.gamma
 
-    p_i = i.prob_model.probability(pi_star)
-    big_l = -math.log(p_i)
-    l_j0 = -math.log(j.prob_model.probability(0.0))
-    numerator = (big_l**gamma - 1.0) * math.log(big_l) - (
-        l_j0**gamma - 1.0
-    ) * math.log(l_j0)
-
-    # d/dpi of log(-marginal_i), evaluated at the threshold
-    ld = i.prob_model.log_derivative(pi_star)  # p'/p
-    dp = i.prob_model.derivative(pi_star)
-    d2p = i.prob_model.second_derivative(pi_star)
-    denominator = (gamma - 1.0 - gamma * big_l**gamma) * (-ld) / big_l + (
-        d2p / dp - ld
-    )
-    return numerator / denominator
+    big_l = i.prob_model.neg_log_probability(pi_star)
+    l_j0 = j.prob_model.neg_log_probability(0.0)
+    numerator = (big_l**gamma - 1.0) * math.log(big_l) - (l_j0**gamma - 1.0) * math.log(l_j0)
+    # d/dpi of log(-marginal_i) at the threshold: psi'(L) dL/dt, dL/dt = exp(k L)
+    dl_dt = math.exp(i.prob_model.log_rate_slope * big_l)
+    return float(numerator / (_psi(i.prob_model, gamma, big_l)[1] * dl_dt))

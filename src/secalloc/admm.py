@@ -14,7 +14,7 @@ round-k state, then one barrier applies the consensus and dual updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
@@ -29,6 +29,7 @@ from .model import (
     TraceRecord,
     TransportNetwork,
     _increasing_root,
+    check_fields,
     loss_at_totals,
     marginal_perceived_cost,
     # kept importable: bench/tracing.py wraps these names here
@@ -61,12 +62,7 @@ class AdmmConfig:
     dual_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.primal_tolerance <= 0 or self.dual_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        check_fields("AdmmConfig", asdict(self))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ alternating projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -30,6 +30,7 @@ from .model import (
     SolveReport,
     TraceRecord,
     TransportNetwork,
+    check_fields,
     loss_at_totals,
     marginal_perceived_cost,
     perceived_loss,
@@ -64,10 +65,7 @@ class SolverConfig:
     objective_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0 or self.gradient_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise ValueError("SolverConfig fields must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_fields("SolverConfig", asdict(self))
 
 
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:

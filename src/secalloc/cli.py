@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ScenarioError,
 )
-from .model import BehavioralModel, SolveReport, TransportNetwork
+from .model import BehavioralModel, SolveReport, TransportNetwork, field_problem
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -46,25 +46,14 @@ def _load_scenario(path: str) -> scenario_io.ScenarioFile:
         return scenario_io.parse_scenario(handle.read())
 
 
-def _solver_config(scenario: scenario_io.ScenarioFile, args) -> centralized.SolverConfig:
-    config = centralized.SolverConfig()
-    merged = dict(scenario.solver)
-    merged.pop("mode", None)
-    for key in ("step_size", "max_iterations", "gradient_tolerance", "objective_tolerance"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return replace(config, **merged)
-
-
-def _admm_config(scenario: scenario_io.ScenarioFile, args) -> admm_mod.AdmmConfig:
-    config = admm_mod.AdmmConfig()
-    merged = dict(scenario.admm)
-    for key in ("eta", "max_iterations", "primal_tolerance", "dual_tolerance"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return replace(config, **merged)
+def _config(config_cls, overrides, args):
+    """``config_cls`` from the scenario's overrides, then the flags given."""
+    names = [f.name for f in fields(config_cls)]
+    values = {key: value for key, value in overrides.items() if key in names}
+    for name in names:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return config_cls(**values)
 
 
 def _aggregates(network: TransportNetwork, report: SolveReport) -> List[float]:
@@ -106,7 +95,7 @@ def _trace_path(args) -> str:
 def _cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     mode = args.mode or scenario.solver.get("mode", "op_a")
-    config = _solver_config(scenario, args)
+    config = _config(centralized.SolverConfig, scenario.solver, args)
     solve = centralized.solve_op_a if mode == "op_a" else centralized.solve_op_b
     report = solve(scenario.network, scenario.behavior, config)
     _write_report(
@@ -143,10 +132,12 @@ def _cmd_waterfill(args) -> int:
 
 def _cmd_admm(args) -> int:
     scenario = _load_scenario(args.scenario)
-    config = _admm_config(scenario, args)
+    config = _config(admm_mod.AdmmConfig, scenario.admm, args)
     report = admm_mod.run_admm(scenario.network, scenario.behavior, config)
     central = centralized.solve_op_b(
-        scenario.network, scenario.behavior, _solver_config(scenario, args)
+        scenario.network,
+        scenario.behavior,
+        _config(centralized.SolverConfig, scenario.solver, args),
     )
     admm_objective = report.perceived_loss - report.source_utility
     central_objective = central.perceived_loss - central.source_utility
@@ -207,7 +198,7 @@ def _finish_sweep(
 def _cmd_sweep_gamma(args) -> int:
     scenario = _load_scenario(args.scenario)
     grid = _grid(args, lambda v: v > 0, lambda v: v <= 1, "gamma")
-    config = _solver_config(scenario, args)
+    config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
     for value in grid:
         behavior = BehavioralModel(float(value))
@@ -225,7 +216,7 @@ def _cmd_sweep_gamma(args) -> int:
 def _cmd_sweep_tau(args) -> int:
     scenario = _load_scenario(args.scenario)
     grid = _grid(args, lambda v: v >= 0, lambda v: v <= 1, "tau")
-    config = _solver_config(scenario, args)
+    config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
     for value in grid:
         network = TransportNetwork(
@@ -244,11 +235,24 @@ def _cmd_sweep_tau(args) -> int:
     return _finish_sweep("tau", scenario.network, samples, args.output, None)
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--step-size", dest="step_size", type=float)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
-    parser.add_argument("--objective-tolerance", dest="objective_tolerance", type=float)
+def _checked(name: str, convert):
+    """argparse type: ``convert`` the flag's text, then apply FIELD_RULES[name]."""
+
+    def parse(text: str):
+        value = convert(text)
+        problem = field_problem(name, value)
+        if problem:
+            raise argparse.ArgumentTypeError(f"{problem}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, config_cls) -> None:
+    for f in fields(config_cls):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=_checked(f.name, type(f.default)))
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser, start: float, stop: float) -> None:
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["op_a", "op_b"])
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
-    _add_solver_flags(p)
+    _add_config_flags(p, centralized.SolverConfig)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("waterfill", help="analytical water-filling report")
@@ -281,24 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--primal-tolerance", dest="primal_tolerance", type=float)
-    p.add_argument("--dual-tolerance", dest="dual_tolerance", type=float)
+    _add_config_flags(p, admm_mod.AdmmConfig)
     p.set_defaults(func=_cmd_admm)
 
     p = sub.add_parser("sweep-gamma", help="solve op_a across a gamma grid")
     p.add_argument("scenario")
     p.add_argument("-o", "--output", required=True)
     _add_grid_flags(p, 0.3, 1.0)
-    _add_solver_flags(p)
+    _add_config_flags(p, centralized.SolverConfig)
     p.set_defaults(func=_cmd_sweep_gamma)
 
     p = sub.add_parser("sweep-tau", help="solve op_b across a tau grid")
     p.add_argument("scenario")
     p.add_argument("-o", "--output", required=True)
     _add_grid_flags(p, 0.0, 1.0)
-    _add_solver_flags(p)
+    _add_config_flags(p, centralized.SolverConfig)
     p.set_defaults(func=_cmd_sweep_tau)
 
     return parser

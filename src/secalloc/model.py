@@ -39,14 +39,90 @@ __all__ = [
     "perceived_loss",
     "loss_at_totals",
     "marginal_perceived_cost",
+    "FIELD_RULES",
+    "field_problem",
+    "bound_problems",
+    "check_fields",
 ]
-
-# each probability family's baseline must exceed this (ints, as messages print them)
-_MIN_BASELINE = {"exponential": 0, "reciprocal": 1}
 
 # the shared scalar root-find stops at this relative bracket width
 _ROOT_RTOL = 1e-15
 _MAX_ROOT_STEPS = 200
+
+
+_FINITE = (lambda v: not -math.inf < v < math.inf, "must be finite")
+_POSITIVE = ((lambda v: not v > 0, "must be > 0"), _FINITE)
+_NONNEGATIVE = ((lambda v: v < 0, "must be >= 0"), _FINITE)
+_COUNT = ((lambda v: not v >= 1, "must be >= 1"), _FINITE)
+
+# Which values each number from outside the program may take: for every
+# field, its reject tests in order, each with the phrase its message prints
+# after the field's name. Every number must be finite, except demand_upper,
+# which may be +inf. The model's types and the solver configs apply this
+# table on construction; scenario files and CLI flags apply it as they read.
+FIELD_RULES: Dict[str, Tuple[Tuple[Callable[[object], bool], str], ...]] = {
+    "gamma": ((lambda v: not 0.0 < v <= 1.0, "must be in (0, 1]"),),
+    "family": (
+        (lambda v: v not in ("exponential", "reciprocal"), "must be exponential or reciprocal"),
+    ),
+    # a baseline's floor depends on its family: see field_problem
+    "exponential baseline": ((lambda v: not v > 0, "must be > 0 for exponential"), _FINITE),
+    "reciprocal baseline": ((lambda v: not v > 1, "must be > 1 for reciprocal"), _FINITE),
+    "loss_value": _POSITIVE,
+    "demand_lower": _NONNEGATIVE,
+    "demand_upper": ((math.isnan, "must not be nan"),),
+    "supply_upper": _POSITIVE,
+    "supply_lower": _NONNEGATIVE,
+    "weight_tau": _NONNEGATIVE,
+    "utility_coeffs": (_FINITE,),
+    "mode": ((lambda v: v not in ("op_a", "op_b"), "must be op_a or op_b"),),
+    "step_size": _POSITIVE,
+    "max_iterations": _COUNT,
+    "gradient_tolerance": _POSITIVE,
+    "objective_tolerance": _POSITIVE,
+    "eta": _POSITIVE,
+    "primal_tolerance": _POSITIVE,
+    "dual_tolerance": _POSITIVE,
+}
+
+# (lower, upper, phrase): bounds of one record that must not cross
+_BOUND_PAIRS = (
+    ("demand_lower", "demand_upper", "demand_upper must be >= demand_lower"),
+    ("supply_lower", "supply_upper", "supply_lower must be <= supply_upper"),
+)
+
+
+def field_problem(name: str, value, family: Optional[str] = None) -> Optional[str]:
+    """The phrase of the first rule of ``FIELD_RULES[name]`` that rejects
+    ``value``, or None. A ``baseline`` takes the rules of its ``family``,
+    and none when the family is unknown (the family's own rule rejects it).
+    """
+    rules = FIELD_RULES.get(f"{family} baseline", ()) if name == "baseline" else FIELD_RULES[name]
+    return next((phrase for rejects, phrase in rules if rejects(value)), None)
+
+
+def bound_problems(values: Mapping[str, object]) -> List[str]:
+    """The phrase of each pair of bounds in ``values`` that crosses; an
+    absent lower bound is 0 and an absent upper bound is unbounded."""
+    return [
+        phrase
+        for lower, upper, phrase in _BOUND_PAIRS
+        if values.get(lower, 0.0) > values.get(upper, math.inf)
+    ]
+
+
+def check_fields(owner: str, values: Mapping[str, object]) -> None:
+    """Raise DomainError, naming ``owner``, at the first field of ``values``
+    that ``FIELD_RULES`` rejects, else at the first pair of crossed bounds.
+    A name ``field.key`` (one ``utility_coeffs`` entry) takes the rules of
+    ``field``.
+    """
+    for name, value in values.items():
+        problem = field_problem(name.split(".")[0], value, values.get("family"))
+        if problem:
+            raise DomainError(f"{owner}: {name} {problem}, got {value!r}")
+    for phrase in bound_problems(values):
+        raise DomainError(f"{owner}: {phrase}")
 
 
 def prelec_weight(p: float, gamma: float) -> float:
@@ -87,11 +163,7 @@ class AttackProbabilityModel:
     baseline: float
 
     def __post_init__(self) -> None:
-        if self.family not in _MIN_BASELINE:
-            raise DomainError(f"unknown probability family {self.family!r}")
-        low = _MIN_BASELINE[self.family]
-        if not self.baseline > low:
-            raise DomainError(f"{self.family} baseline must be > {low}, got {self.baseline}")
+        check_fields("prob_model", {"family": self.family, "baseline": self.baseline})
 
     @classmethod
     def exponential(cls, baseline: float) -> "AttackProbabilityModel":
@@ -164,8 +236,7 @@ class BehavioralModel:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_fields("behavior", {"gamma": self.gamma})
 
 
 @dataclass(frozen=True)
@@ -179,12 +250,14 @@ class TargetSpec:
     demand_upper: float = math.inf
 
     def __post_init__(self) -> None:
-        if not self.loss_value > 0:
-            raise DomainError(f"target {self.id}: loss_value must be > 0")
-        if not 0.0 <= self.demand_lower <= self.demand_upper:
-            raise DomainError(
-                f"target {self.id}: need 0 <= demand_lower <= demand_upper"
-            )
+        check_fields(
+            f"target {self.id}",
+            {
+                "loss_value": self.loss_value,
+                "demand_lower": self.demand_lower,
+                "demand_upper": self.demand_upper,
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -203,23 +276,15 @@ class SourceSpec:
     utility_coeffs: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.supply_upper > 0:
-            raise DomainError(f"source {self.id}: supply_upper must be > 0")
-        if not math.isfinite(self.supply_upper):
-            raise DomainError(f"source {self.id}: supply_upper must be finite")
-        if not 0.0 <= self.supply_lower <= self.supply_upper:
-            raise DomainError(
-                f"source {self.id}: need 0 <= supply_lower <= supply_upper"
-            )
-        if self.weight_tau < 0:
-            raise DomainError(f"source {self.id}: weight_tau must be >= 0")
-        if not math.isfinite(self.weight_tau):
-            raise DomainError(f"source {self.id}: weight_tau must be finite")
-        for target_id, slope in self.utility_coeffs.items():
-            if not math.isfinite(slope):
-                raise DomainError(
-                    f"source {self.id}: utility_coeffs.{target_id} must be finite"
-                )
+        check_fields(
+            f"source {self.id}",
+            {
+                "supply_upper": self.supply_upper,
+                "supply_lower": self.supply_lower,
+                "weight_tau": self.weight_tau,
+                **{f"utility_coeffs.{t}": c for t, c in self.utility_coeffs.items()},
+            },
+        )
 
     def utility_slope(self, target_id: str) -> float:
         return self.utility_coeffs.get(target_id, 1.0)

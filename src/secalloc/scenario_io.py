@@ -30,20 +30,23 @@ raising, so a broken file can be fixed in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
-from .errors import DomainError, ScenarioError
+from .admm import AdmmConfig
+from .centralized import SolverConfig
+from .errors import ScenarioError
 from .model import (
-    _MIN_BASELINE,
     AttackProbabilityModel,
     BehavioralModel,
     SolveReport,
     SourceSpec,
     TargetSpec,
     TransportNetwork,
+    bound_problems,
+    field_problem,
 )
 
 __all__ = [
@@ -57,16 +60,6 @@ __all__ = [
     "write_sweep_csv",
     "write_trace_csv",
 ]
-
-_SOLVER_KEYS = {
-    "mode",
-    "step_size",
-    "max_iterations",
-    "gradient_tolerance",
-    "objective_tolerance",
-}
-_ADMM_KEYS = {"eta", "max_iterations", "primal_tolerance", "dual_tolerance"}
-
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -178,189 +171,122 @@ def _to_str(node, path: str, diag: _Diag) -> Optional[str]:
     return node.value
 
 
-def _parse_prob_model(
-    node, path: str, diag: _Diag
-) -> Optional[AttackProbabilityModel]:
+_SCALARS = {float: _to_float, int: _to_int, str: _to_str}
+# a non-scalar field's reader: (node, path, diag) -> value, or None after a diagnostic
+_Reader = Callable[[object, str, _Diag], object]
+
+
+def _read_record(
+    node,
+    path: str,
+    kinds: Mapping[str, object],
+    diag: _Diag,
+    required: Sequence[str] = (),
+    rule: Optional[str] = None,
+    unknown: str = "unknown key {path}.{key}",
+) -> Optional[Dict[str, object]]:
+    """Read the mapping ``node`` against ``kinds``, key -> float, int, str or
+    a _Reader, and return the values that pass.
+
+    Each scalar is converted, then checked against ``FIELD_RULES`` under
+    ``rule``, or under its key when ``rule`` is None; each diagnostic names
+    the line of its value. Returns None when the record cannot be built:
+    ``node`` is no mapping, a required key is missing or rejected, or two
+    bounds cross.
+    """
+    if not _is_map(node):
+        diag.add(node, f"{path} must be a mapping")
+        return None
+    items = _map_items(node, diag)
+    values: Dict[str, object] = {}
+    for key, value_node in items.items():
+        if key not in kinds:
+            diag.add(value_node, unknown.format(path=path, key=key))
+            continue
+        value = _SCALARS.get(kinds[key], kinds[key])(value_node, f"{path}.{key}", diag)
+        if value is not None:
+            values[key] = value
+    accepted: Dict[str, object] = {}
+    for key, value in values.items():
+        problem = kinds[key] in _SCALARS and field_problem(
+            rule or key, value, values.get("family")
+        )
+        if problem:
+            diag.add(items[key], f"{path}.{key} {problem}")
+        else:
+            accepted[key] = value
+    for key in required:
+        if key not in items:
+            diag.add(node, f"{path}.{key} is required")
+    crossed = bound_problems(values)
+    for phrase in crossed:
+        diag.add(node, f"{path}: {phrase}")
+    if crossed or not accepted.keys() >= set(required):
+        return None
+    return accepted
+
+
+def _read_list(
+    node, section: str, kinds: Mapping[str, object], required: Sequence[str], diag: _Diag
+) -> List[Dict[str, object]]:
+    """The records of a non-empty list that can be built, in order."""
+    if not _is_seq(node) or not node.value:
+        diag.add(node, f"{section} must be a non-empty list")
+        return []
+    records = (
+        _read_record(item, f"{section}[{k}]", kinds, diag, required)
+        for k, item in enumerate(node.value)
+    )
+    return [r for r in records if r is not None]
+
+
+def _new_id(what: str) -> _Reader:
+    """Reader of the ``id`` field, rejecting an id already read."""
+    seen = set()
+
+    def read(node, path: str, diag: _Diag) -> Optional[str]:
+        value = _to_str(node, path, diag)
+        if value is None:  # a mapping or list leaves the record without an id
+            diag.add(node, f"{path} is required")
+        elif value in seen:
+            diag.add(node, f"duplicate {what} id {value!r}")
+            return None
+        seen.add(value)
+        return value
+
+    return read
+
+
+def _to_prob_model(node, path: str, diag: _Diag) -> Optional[AttackProbabilityModel]:
     if not _is_map(node):
         diag.add(node, f"{path} must be a mapping with family and baseline")
         return None
-    items = _map_items(node, diag)
-    family = None
-    if "family" in items:
-        family = _to_str(items["family"], f"{path}.family", diag)
-    else:
-        diag.add(node, f"{path}.family is required")
-    baseline = None
-    if "baseline" in items:
-        baseline = _to_float(items["baseline"], f"{path}.baseline", diag)
-    else:
-        diag.add(node, f"{path}.baseline is required")
-    for key in items:
-        if key not in ("family", "baseline"):
-            diag.add(items[key], f"unknown key {path}.{key}")
-    if family is None or baseline is None:
-        return None
-    if family not in _MIN_BASELINE:
-        diag.add(items["family"], f"{path}.family must be exponential or reciprocal")
-        return None
-    low = _MIN_BASELINE[family]
-    if not baseline > low:
-        diag.add(items["baseline"], f"{path}.baseline must be > {low} for {family}")
-        return None
-    return AttackProbabilityModel(family, baseline)
+    values = _read_record(
+        node, path, {"family": str, "baseline": float}, diag, ("family", "baseline")
+    )
+    return None if values is None else AttackProbabilityModel(**values)
 
 
-def _parse_targets(node, diag: _Diag) -> List[TargetSpec]:
-    specs: List[TargetSpec] = []
-    if not _is_seq(node) or not node.value:
-        diag.add(node, "targets must be a non-empty list")
-        return specs
-    seen_ids: Dict[str, int] = {}
-    for k, item in enumerate(node.value):
-        path = f"targets[{k}]"
-        if not _is_map(item):
-            diag.add(item, f"{path} must be a mapping")
-            continue
-        items = _map_items(item, diag)
-        for key in items:
-            if key not in (
-                "id",
-                "loss_value",
-                "prob_model",
-                "demand_lower",
-                "demand_upper",
-            ):
-                diag.add(items[key], f"unknown key {path}.{key}")
-        tid = _to_str(items["id"], f"{path}.id", diag) if "id" in items else None
-        if tid is None:
-            diag.add(item, f"{path}.id is required")
-            continue
-        if tid in seen_ids:
-            diag.add(items["id"], f"duplicate target id {tid!r}")
-            continue
-        seen_ids[tid] = k
-        loss = None
-        if "loss_value" in items:
-            loss = _to_float(items["loss_value"], f"{path}.loss_value", diag)
-            if loss is not None and not loss > 0:
-                diag.add(items["loss_value"], f"{path}.loss_value must be > 0")
-                loss = None
-        else:
-            diag.add(item, f"{path}.loss_value is required")
-        prob = AttackProbabilityModel.exponential(1.0)
-        if "prob_model" in items:
-            parsed = _parse_prob_model(items["prob_model"], f"{path}.prob_model", diag)
-            if parsed is not None:
-                prob = parsed
-        lower = 0.0
-        if "demand_lower" in items:
-            value = _to_float(items["demand_lower"], f"{path}.demand_lower", diag)
-            if value is not None:
-                if value < 0:
-                    diag.add(items["demand_lower"], f"{path}.demand_lower must be >= 0")
-                else:
-                    lower = value
-        upper = math.inf
-        if "demand_upper" in items:
-            value = _to_float(items["demand_upper"], f"{path}.demand_upper", diag)
-            if value is not None:
-                upper = value
-        if upper < lower:
-            diag.add(item, f"{path}: demand_upper must be >= demand_lower")
-            continue
-        if loss is None:
-            continue
-        specs.append(TargetSpec(tid, loss, prob, lower, upper))
-    return specs
+def _coeffs_reader(target_ids: Sequence[str]) -> _Reader:
+    """Reader of ``utility_coeffs``: a slope for each of some declared targets."""
+    kinds = dict.fromkeys(target_ids, float)
+    return lambda node, path, diag: _read_record(
+        node, path, kinds, diag, rule="utility_coeffs",
+        unknown="{path} references unknown target {key!r}",
+    )
 
 
-def _parse_sources(node, target_ids: Sequence[str], diag: _Diag) -> List[SourceSpec]:
-    specs: List[SourceSpec] = []
-    if not _is_seq(node) or not node.value:
-        diag.add(node, "sources must be a non-empty list")
-        return specs
-    seen_ids: Dict[str, int] = {}
-    for k, item in enumerate(node.value):
-        path = f"sources[{k}]"
-        if not _is_map(item):
-            diag.add(item, f"{path} must be a mapping")
-            continue
-        items = _map_items(item, diag)
-        for key in items:
-            if key not in (
-                "id",
-                "supply_upper",
-                "supply_lower",
-                "weight_tau",
-                "utility_coeffs",
-            ):
-                diag.add(items[key], f"unknown key {path}.{key}")
-        sid = _to_str(items["id"], f"{path}.id", diag) if "id" in items else None
-        if sid is None:
-            diag.add(item, f"{path}.id is required")
-            continue
-        if sid in seen_ids:
-            diag.add(items["id"], f"duplicate source id {sid!r}")
-            continue
-        seen_ids[sid] = k
-        upper = None
-        if "supply_upper" in items:
-            upper = _to_float(items["supply_upper"], f"{path}.supply_upper", diag)
-            if upper is not None and not upper > 0:
-                diag.add(items["supply_upper"], f"{path}.supply_upper must be > 0")
-                upper = None
-            elif upper is not None and not math.isfinite(upper):
-                diag.add(items["supply_upper"], f"{path}.supply_upper must be finite")
-                upper = None
-        else:
-            diag.add(item, f"{path}.supply_upper is required")
-        lower = 0.0
-        if "supply_lower" in items:
-            value = _to_float(items["supply_lower"], f"{path}.supply_lower", diag)
-            if value is not None:
-                if value < 0:
-                    diag.add(items["supply_lower"], f"{path}.supply_lower must be >= 0")
-                else:
-                    lower = value
-        tau = 0.0
-        if "weight_tau" in items:
-            value = _to_float(items["weight_tau"], f"{path}.weight_tau", diag)
-            if value is not None:
-                if value < 0:
-                    diag.add(items["weight_tau"], f"{path}.weight_tau must be >= 0")
-                elif not math.isfinite(value):
-                    diag.add(items["weight_tau"], f"{path}.weight_tau must be finite")
-                else:
-                    tau = value
-        coeffs: Dict[str, float] = {}
-        if "utility_coeffs" in items:
-            cnode = items["utility_coeffs"]
-            if not _is_map(cnode):
-                diag.add(cnode, f"{path}.utility_coeffs must be a mapping")
-            else:
-                for key_node, value_node in cnode.value:
-                    tid = key_node.value
-                    if tid not in target_ids:
-                        diag.add(
-                            key_node,
-                            f"{path}.utility_coeffs references unknown target {tid!r}",
-                        )
-                        continue
-                    value = _to_float(
-                        value_node, f"{path}.utility_coeffs.{tid}", diag
-                    )
-                    if value is not None and not math.isfinite(value):
-                        diag.add(
-                            value_node, f"{path}.utility_coeffs.{tid} must be finite"
-                        )
-                    elif value is not None:
-                        coeffs[tid] = value
-        if upper is None or lower > upper:
-            if upper is not None and lower > upper:
-                diag.add(item, f"{path}: supply_lower must be <= supply_upper")
-            continue
-        specs.append(SourceSpec(sid, upper, lower, tau, coeffs))
-    return specs
+_TARGET_KINDS = {
+    "loss_value": float,
+    "prob_model": _to_prob_model,
+    "demand_lower": float,
+    "demand_upper": float,
+}
+_DEFAULT_PROB_MODEL = AttackProbabilityModel.exponential(1.0)
+_SOURCE_KINDS = {"supply_upper": float, "supply_lower": float, "weight_tau": float}
+# a config's scenario keys are its dataclass fields, typed by their defaults
+_SOLVER_KINDS = {"mode": str, **{f.name: type(f.default) for f in fields(SolverConfig)}}
+_ADMM_KINDS = {f.name: type(f.default) for f in fields(AdmmConfig)}
 
 
 def _parse_edges(
@@ -374,6 +300,7 @@ def _parse_edges(
     if not _is_seq(node):
         diag.add(node, 'edges must be "complete" or a list of [target, source]')
         return False, []
+    declared_targets, declared_sources = set(target_ids), set(source_ids)
     edges: List[Tuple[str, str]] = []
     seen = set()
     for k, item in enumerate(node.value):
@@ -385,10 +312,10 @@ def _parse_edges(
         y = _to_str(item.value[1], f"{path}[1]", diag)
         if x is None or y is None:
             continue
-        if x not in target_ids:
+        if x not in declared_targets:
             diag.add(item.value[0], f"{path} references undeclared target {x!r}")
             continue
-        if y not in source_ids:
+        if y not in declared_sources:
             diag.add(item.value[1], f"{path} references undeclared source {y!r}")
             continue
         if (x, y) in seen:
@@ -405,42 +332,6 @@ def _parse_edges(
         if y not in wired_sources:
             diag.add(node, f"source {y!r} has no incident edge")
     return False, edges
-
-
-def _parse_overrides(
-    node, allowed: set, section: str, diag: _Diag
-) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    if not _is_map(node):
-        diag.add(node, f"{section} must be a mapping")
-        return out
-    items = _map_items(node, diag)
-    for key, value_node in items.items():
-        if key not in allowed:
-            diag.add(value_node, f"unknown key {section}.{key}")
-            continue
-        if key == "mode":
-            mode = _to_str(value_node, f"{section}.mode", diag)
-            if mode is not None:
-                if mode in ("op_a", "op_b"):
-                    out[key] = mode
-                else:
-                    diag.add(value_node, f"{section}.mode must be op_a or op_b")
-        elif key == "max_iterations":
-            value = _to_int(value_node, f"{section}.{key}", diag)
-            if value is not None:
-                if value >= 1:
-                    out[key] = value
-                else:
-                    diag.add(value_node, f"{section}.{key} must be >= 1")
-        else:
-            value = _to_float(value_node, f"{section}.{key}", diag)
-            if value is not None:
-                if value > 0:
-                    out[key] = value
-                else:
-                    diag.add(value_node, f"{section}.{key} must be > 0")
-    return out
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -462,74 +353,57 @@ def parse_scenario(text: str) -> ScenarioFile:
     for key in items:
         if key not in ("behavior", "targets", "sources", "edges", "solver", "admm"):
             diag.add(items[key], f"unknown top-level key {key!r}")
+    for key in ("behavior", "targets", "sources", "edges"):
+        if key not in items:
+            diag.messages.append(f"line 1: {key} section is required")
 
-    gamma = None
-    if "behavior" in items and _is_map(items["behavior"]):
-        bitems = _map_items(items["behavior"], diag)
-        for key in bitems:
-            if key != "gamma":
-                diag.add(bitems[key], f"unknown key behavior.{key}")
-        if "gamma" in bitems:
-            gamma = _to_float(bitems["gamma"], "behavior.gamma", diag)
-            if gamma is not None and not 0.0 < gamma <= 1.0:
-                diag.add(bitems["gamma"], "behavior.gamma must be in (0, 1]")
-                gamma = None
-        else:
-            diag.add(items["behavior"], "behavior.gamma is required")
-    elif "behavior" in items:
-        diag.add(items["behavior"], "behavior must be a mapping")
-    else:
-        diag.messages.append("line 1: behavior section is required")
-
-    targets: List[TargetSpec] = []
+    behavior = None
+    if "behavior" in items:
+        behavior = _read_record(items["behavior"], "behavior", {"gamma": float}, diag, ("gamma",))
+    targets: List[Dict[str, object]] = []
     if "targets" in items:
-        targets = _parse_targets(items["targets"], diag)
-    else:
-        diag.messages.append("line 1: targets section is required")
-    target_ids = [t.id for t in targets]
-
-    sources: List[SourceSpec] = []
+        kinds = {"id": _new_id("target"), **_TARGET_KINDS}
+        targets = _read_list(items["targets"], "targets", kinds, ("id", "loss_value"), diag)
+    target_ids = [t["id"] for t in targets]
+    sources: List[Dict[str, object]] = []
     if "sources" in items:
-        sources = _parse_sources(items["sources"], target_ids, diag)
-    else:
-        diag.messages.append("line 1: sources section is required")
-    source_ids = [s.id for s in sources]
-
+        kinds = {
+            "id": _new_id("source"),
+            **_SOURCE_KINDS,
+            "utility_coeffs": _coeffs_reader(target_ids),
+        }
+        sources = _read_list(items["sources"], "sources", kinds, ("id", "supply_upper"), diag)
+    source_ids = [s["id"] for s in sources]
     complete, edges = False, []
     if "edges" in items:
         complete, edges = _parse_edges(items["edges"], target_ids, source_ids, diag)
-    else:
-        diag.messages.append("line 1: edges section is required")
-
-    solver = (
-        _parse_overrides(items["solver"], _SOLVER_KEYS, "solver", diag)
-        if "solver" in items
-        else {}
-    )
-    admm = (
-        _parse_overrides(items["admm"], _ADMM_KEYS, "admm", diag)
-        if "admm" in items
-        else {}
+    solver, admm = (
+        _read_record(items[key], key, kinds, diag) if key in items else {}
+        for key, kinds in (("solver", _SOLVER_KINDS), ("admm", _ADMM_KINDS))
     )
 
     if diag.messages:
         raise ScenarioError(diag.messages)
 
-    # fill default utility slopes so serialization is canonical
-    incident: Dict[str, List[str]] = {s.id: [] for s in sources}
+    # every record passed the same rules its constructor applies, so none raises;
+    # default utility slopes are filled in so that serialization is canonical
+    incident: Dict[str, List[str]] = {y: [] for y in source_ids}
     for x, y in edges:
         incident[y].append(x)
-    filled_sources = [
-        replace(s, utility_coeffs={x: s.utility_coeffs.get(x, 1.0) for x in incident[s.id]})
-        for s in sources
-    ]
-
-    try:
-        network = TransportNetwork(tuple(targets), tuple(filled_sources), tuple(edges))
-        behavior = BehavioralModel(gamma)
-    except DomainError as exc:
-        raise ScenarioError([str(exc)]) from exc
-    return ScenarioFile(network, behavior, complete, solver, admm)
+    network = TransportNetwork(
+        tuple(TargetSpec(**{"prob_model": _DEFAULT_PROB_MODEL, **t}) for t in targets),
+        tuple(
+            SourceSpec(**{
+                **s,
+                "utility_coeffs": {
+                    x: s.get("utility_coeffs", {}).get(x, 1.0) for x in incident[s["id"]]
+                },
+            })
+            for s in sources
+        ),
+        tuple(edges),
+    )
+    return ScenarioFile(network, BehavioralModel(**behavior), complete, solver, admm)
 
 
 def write_scenario(scenario: ScenarioFile) -> str:

@@ -9,15 +9,14 @@ the second additionally rewards source utility:
   s.t. per-source supply bounds and per-target received-amount bounds.
 
 The solver is projected gradient descent with Armijo backtracking. The
-objective is smooth and convex on the feasible region, and projections
-onto the per-node sets are exact (sort-based capped-simplex projection);
-the coupled constraint set of the weighted mode is handled by Dykstra's
-alternating projections.
+objective is smooth and convex on the feasible region. The projection onto
+the feasible set keeps one multiplier per node and shifts each node's
+edges by a sort-based capped-simplex threshold; in the weighted mode the
+source and target multipliers are updated in turn until they settle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Tuple
 
@@ -52,9 +51,8 @@ __all__ = [
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
 _STALL_ITERATIONS = 10
-_DYKSTRA_TOL = 1e-9
-_DYKSTRA_STALL_TOL = 1e-6
-_DYKSTRA_MAX_CYCLES = 10000
+_SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
+_MAX_CYCLES = 10000
 
 
 @dataclass(frozen=True)
@@ -68,33 +66,36 @@ class SolverConfig:
         check_fields("SolverConfig", asdict(self))
 
 
-def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto the capped simplex {v >= 0, sum v = total}.
-
-    Sort-based exact algorithm, O(n log n). The shift may be negative, so
-    this also serves as projection onto {v >= 0, sum v = total} from below.
-    """
-    v = np.asarray(values, dtype=float)
+def _threshold(v: np.ndarray, total: float) -> float:
+    """The theta for which max(v - theta, 0) is the Euclidean projection of v
+    onto {x >= 0, sum x = total}, sort-based; a zero total takes the smallest
+    theta that clears v, which is finite."""
     if total < 0:
         raise ValueError("total must be >= 0")
     if total == 0:
-        return np.zeros_like(v)
+        return float(v.max())
     u = np.sort(v)[::-1]
     thetas = (np.cumsum(u) - total) / np.arange(1, v.size + 1)
-    k = np.nonzero(u - thetas > 0)[0][-1]
-    return np.maximum(v - thetas[k], 0.0)
+    return float(thetas[np.nonzero(u - thetas > 0)[0][-1]])
+
+
+def _shift(v: np.ndarray, lower: float, upper: float) -> float:
+    """The same theta for {x >= 0, lower <= sum x <= upper}: 0 when clipping
+    fits, else the threshold onto the nearer bound."""
+    s = float(np.maximum(v, 0.0).sum())
+    return 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
+
+
+def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection onto the capped simplex {v >= 0, sum v = total}."""
+    v = np.asarray(values, dtype=float)
+    return np.maximum(v - _threshold(v, total), 0.0)
 
 
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
     """Euclidean projection onto {v >= 0, lower <= sum v <= upper}."""
     v = np.asarray(values, dtype=float)
-    clipped = np.maximum(v, 0.0)
-    s = float(clipped.sum())
-    if s > upper:
-        return project_capped_sum(v, upper)
-    if s < lower:
-        return project_capped_sum(v, lower)
-    return clipped
+    return np.maximum(v - _shift(v, lower, upper), 0.0)
 
 
 def _make_objective(
@@ -121,69 +122,61 @@ def _make_objective(
     return objective, gradient
 
 
+def _bounds(network: TransportNetwork, mode: str) -> Tuple[list, list]:
+    """The mode's node bounds, one (edge positions, lower, upper) per source
+    and per target. op_a has zero source floors and no target bounds."""
+    if mode not in ("op_a", "op_b"):
+        raise ValueError(f"unknown mode {mode!r}")
+    index, op_b = network.edge_index, mode == "op_b"
+    sources = [(idx, s.supply_lower if op_b else 0.0, s.supply_upper)
+               for s, idx in zip(network.sources, index.source_indices)]
+    targets = [(sl, t.demand_lower, t.demand_upper)
+               for t, sl in zip(network.targets, index.target_slices) if op_b]
+    return sources, targets
+
+
 def _violation(network: TransportNetwork, x: np.ndarray, mode: str) -> float:
     """Worst constraint violation of the vector x under the mode's bounds."""
-    index = network.edge_index
+    sources, targets = _bounds(network, mode)
     worst = float(np.maximum(-x, 0.0).max(initial=0.0))
-    for s, idx in zip(network.sources, index.source_indices):
-        tot = float(x[idx].sum())
-        lo = 0.0 if mode == "op_a" else s.supply_lower
-        worst = max(worst, lo - tot, tot - s.supply_upper)
-    if mode == "op_b":
-        for t, sl in zip(network.targets, index.target_slices):
-            tot = float(x[sl].sum())
-            worst = max(worst, t.demand_lower - tot, tot - t.demand_upper)
+    for positions, lower, upper in sources + targets:
+        tot = float(x[positions].sum())
+        worst = max(worst, lower - tot, tot - upper)
     return worst
 
 
 def _make_projector(
     network: TransportNetwork, mode: str
 ) -> Callable[[np.ndarray], np.ndarray]:
-    index = network.edge_index
-    if mode == "op_a":
-        # per-source groups are disjoint, so the projection is exact in one pass
-        def project(x: np.ndarray) -> np.ndarray:
-            out = np.maximum(x, 0.0)
-            for s, idx in zip(network.sources, index.source_indices):
-                out[idx] = project_box_sum(x[idx], 0.0, s.supply_upper)
-            return out
+    """Euclidean projection onto the mode's feasible set.
 
-        return project
+    The projection of z is max(z - lam - mu, 0), where each edge carries
+    the multiplier of its source (lam) and of its target (mu). Given mu,
+    each source's lam is one shift, and given lam so is each target's mu;
+    alternating the two is coordinate ascent on the dual (Dykstra's method).
+    op_a has no targets, so one pass is exact. mu is kept across calls:
+    each PGD step starts from the last step's multipliers."""
+    sources, targets = _bounds(network, mode)
+    lam = np.zeros(len(network.edges))
+    mu = np.zeros(len(network.edges))
 
-    if mode != "op_b":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def project_sources(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        for s, idx in zip(network.sources, index.source_indices):
-            out[idx] = project_box_sum(x[idx], s.supply_lower, s.supply_upper)
-        return out
-
-    def project_targets(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        for t, sl in zip(network.targets, index.target_slices):
-            out[sl] = project_box_sum(x[sl], t.demand_lower, t.demand_upper)
-        return out
-
-    def project(x: np.ndarray) -> np.ndarray:
-        # Dykstra's alternating projections onto the source and target sets
-        y = x.copy()
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        worst = math.inf
-        for _ in range(_DYKSTRA_MAX_CYCLES):
-            u = project_sources(y + p)
-            p = y + p - u
-            y = project_targets(u + q)
-            q = u + q - y
-            worst = _violation(network, y, "op_b")
-            if worst < _DYKSTRA_TOL:
-                return y
-        if worst > _DYKSTRA_STALL_TOL:
-            raise InfeasibleError(
-                f"alternating projection stalled at violation {worst:.3e}"
-            )
-        return y
+    def project(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        for _ in range(_MAX_CYCLES):
+            v = z - mu
+            for idx, lower, upper in sources:
+                lam[idx] = _shift(v[idx], lower, upper)
+            v = z - lam
+            moved = 0.0
+            for sl, lower, upper in targets:
+                theta = _shift(v[sl], lower, upper)
+                moved = max(moved, abs(theta - mu[sl.start]))
+                mu[sl] = theta
+            if not targets or moved <= _SETTLE_TOL * max(
+                np.abs(z).max(), np.abs(lam).max(), np.abs(mu).max()
+            ):
+                return np.maximum(v - mu, 0.0)
+        raise InfeasibleError(f"projection did not settle in {_MAX_CYCLES} cycles")
 
     return project
 

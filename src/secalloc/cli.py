@@ -42,8 +42,14 @@ def _fmt(value: float) -> str:
 
 
 def _load_scenario(path: str) -> scenario_io.ScenarioFile:
-    with open(path) as handle:
-        return scenario_io.parse_scenario(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError([f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"]) from exc
+    return scenario_io.parse_scenario(text)
 
 
 def _config(config_cls, overrides, args):
@@ -152,13 +158,14 @@ def _cmd_admm(args) -> int:
     return EXIT_OK
 
 
-def _grid(args, lo_ok, hi_ok, what: str) -> np.ndarray:
+def _grid(args, what: str, problem) -> np.ndarray:
     if args.steps < 2:
         raise ScenarioError([f"{what} grid needs at least 2 points"])
     if not args.start < args.stop:
         raise ScenarioError([f"{what} grid start must be < stop"])
-    if not (lo_ok(args.start) and hi_ok(args.stop)):
-        raise ScenarioError([f"{what} grid outside the parameter domain"])
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if found := problem(value):
+            raise ScenarioError([f"{what} grid {flag} {found}, got {value!r}"])
     return np.linspace(args.start, args.stop, args.steps)
 
 
@@ -197,7 +204,7 @@ def _finish_sweep(
 
 def _cmd_sweep_gamma(args) -> int:
     scenario = _load_scenario(args.scenario)
-    grid = _grid(args, lambda v: v > 0, lambda v: v <= 1, "gamma")
+    grid = _grid(args, "gamma", lambda v: field_problem("gamma", v))
     config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
     for value in grid:
@@ -215,7 +222,7 @@ def _cmd_sweep_gamma(args) -> int:
 
 def _cmd_sweep_tau(args) -> int:
     scenario = _load_scenario(args.scenario)
-    grid = _grid(args, lambda v: v >= 0, lambda v: v <= 1, "tau")
+    grid = _grid(args, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]")
     config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
     for value in grid:

@@ -18,7 +18,7 @@ class PreconditionError(SecallocError):
 
 
 class InfeasibleError(SecallocError):
-    """The constraint set is empty (or a projection onto it stalled)."""
+    """The constraint set is empty (or a projection onto it did not settle)."""
 
 
 class ConvergenceError(SecallocError):

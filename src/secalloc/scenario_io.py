@@ -29,7 +29,6 @@ raising, so a broken file can be fixed in one pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -142,12 +141,8 @@ def _to_float(node, path: str, diag: _Diag) -> Optional[float]:
         diag.add(node, f"{path} must be a number")
         return None
     text = node.value.replace("_", "").lower()
-    try:
-        if text in (".inf", "+.inf"):
-            return math.inf
-        if text == "-.inf":
-            return -math.inf
-        return float(text)
+    try:  # YAML spells the non-finite floats .inf, -.inf and .nan
+        return float(text.replace(".inf", "inf").replace(".nan", "nan"))
     except ValueError:
         diag.add(node, f"{path} must be a number, got {node.value!r}")
         return None
@@ -345,6 +340,10 @@ def parse_scenario(text: str) -> ScenarioFile:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}: " if mark is not None else ""
         raise ScenarioError([f"{where}{exc.problem or 'syntax error'}"]) from exc
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow
+        line = text.count("\n", 0, exc.position) + 1
+        problem = f"character #x{exc.character:04x} is not allowed"
+        raise ScenarioError([f"line {line}: {problem}"]) from exc
     if root is None or not _is_map(root):
         raise ScenarioError(["line 1: scenario must be a YAML mapping"])
 

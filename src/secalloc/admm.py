@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import _check_op_b_feasible, project_box_sum, project_capped_sum
+from .centralized import _bounds, _check_op_b_feasible, _make_projector
+from .centralized import project_box_sum, project_capped_sum
 from .errors import ConvergenceError, MissingMessageError
 from .model import (
     BehavioralModel,
@@ -251,12 +252,12 @@ def message_bus_round(
 
 def _initial_consensus(network: TransportNetwork) -> np.ndarray:
     # zero unless some lower bound forces a head start (uniform split)
-    index = network.edge_index
+    sources, targets = _bounds(network, "op_b")
     seed = np.empty(len(network.edges))
-    for t, sl in zip(network.targets, index.target_slices):
-        seed[sl] = t.demand_lower / (sl.stop - sl.start)
-    for s, idx in zip(network.sources, index.source_indices):
-        seed[idx] = np.maximum(seed[idx], s.supply_lower / len(idx))
+    for positions, lower, _ in targets:
+        seed[positions] = (lower / positions.shape[1])[:, None]
+    for positions, lower, _ in sources:
+        seed[positions] = np.maximum(seed[positions], (lower / positions.shape[1])[:, None])
     return seed
 
 
@@ -283,6 +284,9 @@ def run_admm(
 
     index = network.edge_index
     consensus = _initial_consensus(network)
+    # a network infeasible at one node passes the aggregate check, but its
+    # projection never settles and raises InfeasibleError
+    _make_projector(network, "op_b")(consensus)
     edge_states = {
         e: EdgeState(consensus=float(c)) for e, c in zip(index.edges, consensus)
     }

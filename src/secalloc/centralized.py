@@ -79,13 +79,6 @@ def _threshold(v: np.ndarray, total: float) -> float:
     return float(thetas[np.nonzero(u - thetas > 0)[0][-1]])
 
 
-def _shift(v: np.ndarray, lower: float, upper: float) -> float:
-    """The same theta for {x >= 0, lower <= sum x <= upper}: 0 when clipping
-    fits, else the threshold onto the nearer bound."""
-    s = float(np.maximum(v, 0.0).sum())
-    return 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
-
-
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto the capped simplex {v >= 0, sum v = total}."""
     v = np.asarray(values, dtype=float)
@@ -93,9 +86,12 @@ def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
 
 
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Euclidean projection onto {v >= 0, lower <= sum v <= upper}."""
+    """Euclidean projection onto {v >= 0, lower <= sum v <= upper}: the shift
+    is 0 when clipping fits, else the threshold onto the nearer bound."""
     v = np.asarray(values, dtype=float)
-    return np.maximum(v - _shift(v, lower, upper), 0.0)
+    s = float(np.maximum(v, 0.0).sum())
+    shift = 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
+    return np.maximum(v - shift, 0.0)
 
 
 def _make_objective(
@@ -123,26 +119,40 @@ def _make_objective(
 
 
 def _bounds(network: TransportNetwork, mode: str) -> Tuple[list, list]:
-    """The mode's node bounds, one (edge positions, lower, upper) per source
-    and per target. op_a has zero source floors and no target bounds."""
+    """The mode's node bounds, one (edge positions, lowers, uppers) per degree
+    group of each side. op_a has zero source floors and no target bounds."""
     if mode not in ("op_a", "op_b"):
         raise ValueError(f"unknown mode {mode!r}")
     index, op_b = network.edge_index, mode == "op_b"
-    sources = [(idx, s.supply_lower if op_b else 0.0, s.supply_upper)
-               for s, idx in zip(network.sources, index.source_indices)]
-    targets = [(sl, t.demand_lower, t.demand_upper)
-               for t, sl in zip(network.targets, index.target_slices) if op_b]
+    supply = np.array([(s.supply_lower if op_b else 0.0, s.supply_upper) for s in network.sources])
+    demand = np.array([(t.demand_lower, t.demand_upper) for t in network.targets])
+    sources = [(pos, *supply[nodes].T) for nodes, pos in index.source_groups]
+    targets = [(pos, *demand[nodes].T) for nodes, pos in index.target_groups if op_b]
     return sources, targets
 
 
-def _violation(network: TransportNetwork, x: np.ndarray, mode: str) -> float:
-    """Worst constraint violation of the vector x under the mode's bounds."""
-    sources, targets = _bounds(network, mode)
-    worst = float(np.maximum(-x, 0.0).max(initial=0.0))
-    for positions, lower, upper in sources + targets:
-        tot = float(x[positions].sum())
-        worst = max(worst, lower - tot, tot - upper)
-    return worst
+def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``_threshold`` of each row at its total: one sort, one row-wise
+    cumsum and the same arithmetic, so each value is bit-equal."""
+    u = np.sort(rows, axis=1)[:, ::-1]
+    thetas = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, rows.shape[1] + 1)
+    last = rows.shape[1] - 1 - np.argmax((u - thetas > 0)[:, ::-1], axis=1)
+    theta = thetas[np.arange(len(rows)), last]
+    return np.where(totals == 0, rows.max(axis=1), theta)
+
+
+def _shifts(v: np.ndarray, groups: list):
+    """The shift of every node of one side, a degree group at a time: 0 where
+    clipping fits the node's bounds, else the threshold onto the nearer
+    bound (as in project_box_sum). Yields each group's positions and shifts."""
+    for positions, lower, upper in groups:
+        rows = v[positions]
+        s = np.maximum(rows, 0.0).sum(axis=1)
+        off = (s < lower) | (s > upper)
+        theta = np.zeros(len(rows))
+        if off.any():
+            theta[off] = _row_thresholds(rows[off], np.where(s > upper, upper, lower)[off])
+        yield positions, theta
 
 
 def _make_projector(
@@ -154,8 +164,9 @@ def _make_projector(
     the multiplier of its source (lam) and of its target (mu). Given mu,
     each source's lam is one shift, and given lam so is each target's mu;
     alternating the two is coordinate ascent on the dual (Dykstra's method).
-    op_a has no targets, so one pass is exact. mu is kept across calls:
-    each PGD step starts from the last step's multipliers."""
+    Each side's shifts are computed a degree group at a time. op_a has no
+    targets, so one pass is exact. mu is kept across calls: each PGD step
+    starts from the last step's multipliers."""
     sources, targets = _bounds(network, mode)
     lam = np.zeros(len(network.edges))
     mu = np.zeros(len(network.edges))
@@ -164,14 +175,13 @@ def _make_projector(
         z = np.asarray(z, dtype=float)
         for _ in range(_MAX_CYCLES):
             v = z - mu
-            for idx, lower, upper in sources:
-                lam[idx] = _shift(v[idx], lower, upper)
+            for positions, theta in _shifts(v, sources):
+                lam[positions] = theta[:, None]
             v = z - lam
             moved = 0.0
-            for sl, lower, upper in targets:
-                theta = _shift(v[sl], lower, upper)
-                moved = max(moved, abs(theta - mu[sl.start]))
-                mu[sl] = theta
+            for positions, theta in _shifts(v, targets):
+                moved = max(moved, float(np.abs(theta - mu[positions[:, 0]]).max()))
+                mu[positions] = theta[:, None]
             if not targets or moved <= _SETTLE_TOL * max(
                 np.abs(z).max(), np.abs(lam).max(), np.abs(mu).max()
             ):
@@ -200,14 +210,16 @@ def _pgd(
     stall = 0
     for iteration in range(1, config.max_iterations + 1):
         g = gradient(x)
-        residual = float(np.linalg.norm(x - project(x - g)))
+        unit = project(x - g)
+        residual = float(np.linalg.norm(x - unit))
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, True
         step = config.step_size
         x_new, f_new = x, fx
         while step >= _MIN_STEP:
-            candidate = project(x - step * g)
+            # x - 1.0 * g is x - g: the residual's projection is the candidate
+            candidate = unit if step == 1.0 else project(x - step * g)
             f_candidate = objective(candidate)
             if f_candidate <= fx + _ARMIJO * float(g @ (candidate - x)):
                 x_new, f_new = candidate, f_candidate
@@ -225,22 +237,16 @@ def _pgd(
 
 def _uniform_start(network: TransportNetwork) -> np.ndarray:
     x = np.zeros(len(network.edges))
-    for s, idx in zip(network.sources, network.edge_index.source_indices):
-        x[idx] = s.supply_upper / len(idx)
+    for positions, _, upper in _bounds(network, "op_a")[0]:
+        x[positions] = (upper / positions.shape[1])[:, None]
     return x
 
 
 def _check_op_b_feasible(network: TransportNetwork) -> None:
-    total_demand_lower = sum(t.demand_lower for t in network.targets)
-    total_supply_lower = sum(s.supply_lower for s in network.sources)
-    if total_demand_lower > network.total_supply():
-        raise InfeasibleError(
-            "total demand lower bound exceeds total supply upper bound"
-        )
-    if total_supply_lower > sum(t.demand_upper for t in network.targets):
-        raise InfeasibleError(
-            "total supply lower bound exceeds total demand upper bound"
-        )
+    if sum(t.demand_lower for t in network.targets) > network.total_supply():
+        raise InfeasibleError("total demand lower bound exceeds total supply upper bound")
+    if sum(s.supply_lower for s in network.sources) > sum(t.demand_upper for t in network.targets):
+        raise InfeasibleError("total supply lower bound exceeds total demand upper bound")
 
 
 def _solve(
@@ -320,4 +326,10 @@ def feasibility_violation(
     network: TransportNetwork, plan: AllocationPlan, mode: str
 ) -> float:
     """Worst constraint violation of a plan under the mode's bounds."""
-    return _violation(network, network.edge_index.to_vector(plan), mode)
+    x = network.edge_index.to_vector(plan)
+    sources, targets = _bounds(network, mode)
+    worst = float(np.maximum(-x, 0.0).max(initial=0.0))
+    for positions, lower, upper in sources + targets:
+        tot = x[positions].sum(axis=1)
+        worst = max(worst, float((lower - tot).max()), float((tot - upper).max()))
+    return worst

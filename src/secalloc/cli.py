@@ -19,12 +19,7 @@ import numpy as np
 
 from . import admm as admm_mod
 from . import centralized, scenario_io, waterfill
-from .errors import (
-    ConvergenceError,
-    InfeasibleError,
-    PreconditionError,
-    ScenarioError,
-)
+from .errors import ConvergenceError, InfeasibleError, PreconditionError, ScenarioError
 from .model import BehavioralModel, SolveReport, TransportNetwork, field_problem
 
 EXIT_OK = 0
@@ -117,10 +112,9 @@ def _cmd_solve(args) -> int:
 def _cmd_waterfill(args) -> int:
     scenario = _load_scenario(args.scenario)
     network, behavior = scenario.network, scenario.behavior
-    table = waterfill.build_threshold_table(network, behavior)
     trace = waterfill.waterfill_allocate(network, behavior)
     lines = ["thresholds:"]
-    for (i, j), value in table.entries.items():
+    for (i, j), value in trace.thresholds.entries.items():
         lines.append(f"  {i} {j} {_fmt(value)}")
     lines.append("breakpoints:")
     for tid, point in zip(trace.activation_order, trace.breakpoints):

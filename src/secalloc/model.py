@@ -361,13 +361,27 @@ class TransportNetwork:
         return sum(s.supply_upper for s in self.sources)
 
 
+def _degree_groups(members: Sequence[Sequence[int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per edge count, in increasing order: the nodes with that many edges
+    and the (nodes, count) array of their edge positions."""
+    counts = [len(m) for m in members]
+    groups = []
+    for count in sorted(set(counts)):
+        nodes = [n for n, c in enumerate(counts) if c == count]
+        groups.append((np.array(nodes), np.array([list(members[n]) for n in nodes], dtype=int)))
+    return groups
+
+
 class EdgeIndex:
     """Array view of a network's canonical edge order.
 
     Each target's incident edges are one contiguous slice of the
     target-major order; each source gets the array of its edge positions.
-    ``tau_c`` holds the per-edge utility weight  tau_y * c_xy.  Built by
-    :class:`TransportNetwork`; the arrays are read-only.
+    ``target_groups`` and ``source_groups`` bucket each side by edge count
+    (see ``_degree_groups``): a dense row per node sums bit for bit like the
+    node's own slice. ``tau_c`` holds the per-edge utility weight
+    tau_y * c_xy.  Built by :class:`TransportNetwork`; the arrays are
+    read-only.
     """
 
     def __init__(
@@ -390,12 +404,18 @@ class EdgeIndex:
         ends = accumulate(sizes)
         self.target_slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
         self.source_indices = [np.array(m, dtype=int) for m in members]
-        for array in (*self.source_indices, tau_c):
+        self.target_groups = _degree_groups([range(sl.start, sl.stop) for sl in self.target_slices])
+        self.source_groups = _degree_groups(members)
+        groups = self.target_groups + self.source_groups
+        for array in (*self.source_indices, tau_c, *(a for group in groups for a in group)):
             array.flags.writeable = False
         self.tau_c = tau_c
 
     def target_totals(self, x: np.ndarray) -> List[float]:
-        return [float(x[sl].sum()) for sl in self.target_slices]
+        totals = np.empty(len(self.target_slices))
+        for nodes, positions in self.target_groups:
+            totals[nodes] = x[positions].sum(axis=1)
+        return totals.tolist()
 
     def to_plan(self, x: np.ndarray) -> "AllocationPlan":
         return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})

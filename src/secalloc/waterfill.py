@@ -124,13 +124,15 @@ class WaterfillTrace:
     loss value); ``breakpoints`` gives the cumulative budget at which each
     of them activates; ``final_aggregates`` the per-target totals; and
     ``per_source_plan`` an edge-level plan realizing those totals with
-    sources spending in their listed order.
+    sources spending in their listed order; ``thresholds`` the pairwise
+    thresholds the breakpoints sum.
     """
 
     activation_order: Tuple[str, ...]
     breakpoints: Tuple[float, ...]
     final_aggregates: Mapping[str, float]
     per_source_plan: AllocationPlan
+    thresholds: ThresholdTable
 
 
 def _require_analytical(network: TransportNetwork) -> List[TargetSpec]:
@@ -186,9 +188,10 @@ def build_threshold_table(
     )
 
 
-def _breakpoints(ordered: Sequence[TargetSpec], gamma: float) -> List[float]:
-    # theta[i, j] is 0 unless target i is valued above target j
-    return _threshold_matrix(ordered, ordered, gamma).sum(axis=0).tolist()
+def _breakpoints(ordered: Sequence[TargetSpec], table: ThresholdTable) -> List[float]:
+    # target j's thresholds against the targets valued above it, in order
+    ids = [t.id for t in ordered]
+    return [sum((table.entries[(i, j)] for i in ids[:b]), 0.0) for b, j in enumerate(ids)]
 
 
 def waterfill_allocate(
@@ -203,7 +206,7 @@ def waterfill_allocate(
     """
     ordered = _require_analytical(network)
     budget = network.total_supply()
-    points = _breakpoints(ordered, behavior.gamma)
+    table = build_threshold_table(network, behavior)
 
     amounts: Dict[Tuple[str, str], float] = {}
     previous = [0.0] * len(ordered)
@@ -219,9 +222,10 @@ def waterfill_allocate(
     # in the same order), so the last profile is the full-budget one
     return WaterfillTrace(
         activation_order=tuple(t.id for t in ordered),
-        breakpoints=tuple(points),
+        breakpoints=tuple(_breakpoints(ordered, table)),
         final_aggregates={t.id: agg for t, agg in zip(ordered, previous)},
         per_source_plan=AllocationPlan(amounts),
+        thresholds=table,
     )
 
 
@@ -232,7 +236,8 @@ def active_target_count(
     breakpoint lies strictly below the total budget."""
     ordered = _require_analytical(network)
     budget = network.total_supply()
-    return sum(1 for b in _breakpoints(ordered, behavior.gamma) if budget > b)
+    table = build_threshold_table(network, behavior)
+    return sum(1 for b in _breakpoints(ordered, table) if budget > b)
 
 
 def gamma_sensitivity(

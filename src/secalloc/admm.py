@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import _bounds, _check_op_b_feasible, _make_projector
+from .centralized import _bounds, _check_op_b_feasible, _make_projector, _report
 from .centralized import project_box_sum, project_capped_sum
 from .errors import ConvergenceError, MissingMessageError
 from .model import (
@@ -30,13 +30,13 @@ from .model import (
     TraceRecord,
     TransportNetwork,
     _increasing_root,
+    _loss_and_utility,
     check_fields,
-    loss_at_totals,
     marginal_perceived_cost,
     # kept importable: bench/tracing.py wraps these names here
     perceived_loss,  # noqa: F401
     prelec_weight,  # noqa: F401
-    true_loss,
+    true_loss,  # noqa: F401
 )
 
 __all__ = [
@@ -273,14 +273,10 @@ def run_admm(
     by more than ``dual_tolerance``.
     """
     _check_op_b_feasible(network)
-    targets = [
-        TargetAgent(t, behavior, network.edges_of_target(t.id))
-        for t in network.targets
+    agents: List[Union[TargetAgent, SourceAgent]] = [
+        *(TargetAgent(t, behavior, network.edges_of_target(t.id)) for t in network.targets),
+        *(SourceAgent(s, network.edges_of_source(s.id)) for s in network.sources),
     ]
-    sources = [
-        SourceAgent(s, network.edges_of_source(s.id)) for s in network.sources
-    ]
-    agents: List[Union[TargetAgent, SourceAgent]] = [*targets, *sources]
 
     index = network.edge_index
     consensus = _initial_consensus(network)
@@ -307,25 +303,10 @@ def run_admm(
             for s in edge_states.values()
         )
         drift = float(np.abs(consensus - previous).max())
-        totals = index.target_totals(consensus)
-        perceived = loss_at_totals(network, totals, behavior.gamma)
-        # summed in edge order, not by a dot product, whose blocked
-        # accumulation moves the last bits of the reported gap
-        utility = sum((index.tau_c * consensus).tolist())
-        trace.append(
-            TraceRecord(iteration, primal, perceived - utility, perceived)
-        )
+        perceived, utility = _loss_and_utility(network, consensus, behavior.gamma)
+        trace.append(TraceRecord(iteration, primal, perceived - utility, perceived))
         if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
-            plan = index.to_plan(consensus)
-            return SolveReport(
-                plan=plan,
-                true_loss=true_loss(network, plan),
-                perceived_loss=perceived,
-                source_utility=utility,
-                iterations=iteration,
-                residual_trace=tuple(trace),
-                converged=True,
-            )
+            return _report(network, behavior, consensus, iteration, trace)
     raise ConvergenceError(
         f"consensus not reached in {config.max_iterations} iterations",
         trace=trace,

@@ -29,11 +29,12 @@ from .model import (
     SolveReport,
     TraceRecord,
     TransportNetwork,
+    _loss_and_utility,
     check_fields,
-    loss_at_totals,
-    marginal_perceived_cost,
-    perceived_loss,
-    prelec_weight,  # noqa: F401  kept importable: bench/tracing.py wraps it here
+    # kept importable: bench/tracing.py wraps these names here
+    marginal_perceived_cost,  # noqa: F401
+    perceived_loss,  # noqa: F401
+    prelec_weight,  # noqa: F401
     true_loss,
 )
 
@@ -97,23 +98,16 @@ def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarra
 def _make_objective(
     network: TransportNetwork, behavior: BehavioralModel, mode: str
 ) -> Tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    index = network.edge_index
-    include_utility = mode == "op_b"
+    """The mode's objective and gradient, for all targets at once (EdgeIndex)."""
+    index, gamma, op_b = network.edge_index, behavior.gamma, mode == "op_b"
 
     def objective(x: np.ndarray) -> float:
-        value = loss_at_totals(network, index.target_totals(x), behavior.gamma)
-        if include_utility:
-            value -= float(index.tau_c @ x)
-        return value
+        perceived, utility = _loss_and_utility(network, x, gamma)
+        return perceived - utility if op_b else perceived
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        totals = index.target_totals(x)
-        g = np.empty(len(index.edges))
-        for t, tot, sl in zip(network.targets, totals, index.target_slices):
-            g[sl] = marginal_perceived_cost(t, behavior, tot)
-        if include_utility:
-            g -= index.tau_c
-        return g
+        g = index.marginals(index.totals(x), gamma)[index.edge_targets]
+        return g - index.tau_c if op_b else g
 
     return objective, gradient
 
@@ -264,16 +258,21 @@ def _solve(
             f"{mode} solve did not converge in {config.max_iterations} iterations",
             trace=trace,
         )
-    index = network.edge_index
-    plan = index.to_plan(x)
+    return _report(network, behavior, x, iterations, trace)
+
+
+def _report(
+    network: TransportNetwork,
+    behavior: BehavioralModel,
+    x: np.ndarray,
+    iterations: int,
+    trace: List[TraceRecord],
+) -> SolveReport:
+    """The report of a converged solve that ended at the edge vector x."""
+    plan = network.edge_index.to_plan(x)
+    perceived, utility = _loss_and_utility(network, x, behavior.gamma)
     return SolveReport(
-        plan=plan,
-        true_loss=true_loss(network, plan),
-        perceived_loss=perceived_loss(network, plan, behavior),
-        source_utility=float(index.tau_c @ x),
-        iterations=iterations,
-        residual_trace=tuple(trace),
-        converged=True,
+        plan, true_loss(network, plan), perceived, utility, iterations, tuple(trace), True
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import admm as admm_mod
 from . import centralized, scenario_io, waterfill
 from .errors import ConvergenceError, InfeasibleError, PreconditionError, ScenarioError
-from .model import BehavioralModel, SolveReport, TransportNetwork, field_problem
+from .model import BehavioralModel, SolveReport, TransportNetwork, _plan_totals, field_problem
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -57,17 +57,12 @@ def _config(config_cls, overrides, args):
     return config_cls(**values)
 
 
-def _aggregates(network: TransportNetwork, report: SolveReport) -> List[float]:
-    index = network.edge_index
-    return index.target_totals(index.to_vector(report.plan))
-
-
 def _plan_lines(network: TransportNetwork, report: SolveReport) -> List[str]:
     lines = ["plan:"]
     for edge in network.edges:
         lines.append(f"  {edge[0]} {edge[1]} {_fmt(report.plan.amounts[edge])}")
     lines.append("aggregates:")
-    for t, total in zip(network.targets, _aggregates(network, report)):
+    for t, total in zip(network.targets, _plan_totals(network, report.plan)):
         lines.append(f"  {t.id} {_fmt(total)}")
     return lines
 
@@ -163,77 +158,59 @@ def _grid(args, what: str, problem) -> np.ndarray:
     return np.linspace(args.start, args.stop, args.steps)
 
 
-def _sample(
-    network: TransportNetwork, behavior: BehavioralModel, value: float, report: SolveReport
-) -> scenario_io.SweepSample:
-    aggregates = tuple(_aggregates(network, report))
-    return scenario_io.SweepSample(
-        param_value=float(value),
-        aggregates=aggregates,
-        true_loss=report.true_loss,
-        perceived_loss=report.perceived_loss,
-        active_targets=sum(1 for a in aggregates if a > _ACTIVE_EPS),
-    )
-
-
-def _finish_sweep(
-    axis: str,
-    network: TransportNetwork,
-    samples: List[scenario_io.SweepSample],
-    output: str,
-    failure: Optional[str],
-) -> int:
-    result = scenario_io.SweepResult(
-        axis=axis,
-        target_ids=tuple(t.id for t in network.targets),
-        samples=tuple(samples),
-    )
-    scenario_io.write_sweep_csv(result, output)
+def _sweep(args, axis: str, problem, solve_at) -> int:
+    """Solve at each point of the ``axis`` grid in order, ``solve_at(scenario,
+    value, config)`` giving the report, and write one CSV row per point.
+    A point that does not converge ends the sweep: the rows before it are
+    written, and the exit code is EXIT_NO_CONVERGENCE."""
+    scenario = _load_scenario(args.scenario)
+    grid = _grid(args, axis, problem)
+    config = _config(centralized.SolverConfig, scenario.solver, args)
+    samples: List[scenario_io.SweepSample] = []
+    failure: Optional[str] = None
+    for value in grid:
+        try:
+            report = solve_at(scenario, float(value), config)
+        except ConvergenceError as exc:
+            failure = f"{axis}={value:g} did not converge ({exc})"
+            break
+        aggregates = tuple(_plan_totals(scenario.network, report.plan))
+        samples.append(
+            scenario_io.SweepSample(
+                param_value=float(value),
+                aggregates=aggregates,
+                true_loss=report.true_loss,
+                perceived_loss=report.perceived_loss,
+                active_targets=sum(1 for a in aggregates if a > _ACTIVE_EPS),
+            )
+        )
+    target_ids = tuple(t.id for t in scenario.network.targets)
+    result = scenario_io.SweepResult(axis, target_ids, tuple(samples))
+    scenario_io.write_sweep_csv(result, args.output)
     if failure is not None:
-        print(f"aborted: {failure}; partial output in {output}", file=sys.stderr)
+        print(f"aborted: {failure}; partial output in {args.output}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def _cmd_sweep_gamma(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    grid = _grid(args, "gamma", lambda v: field_problem("gamma", v))
-    config = _config(centralized.SolverConfig, scenario.solver, args)
-    samples: List[scenario_io.SweepSample] = []
-    for value in grid:
-        behavior = BehavioralModel(float(value))
-        try:
-            report = centralized.solve_op_a(scenario.network, behavior, config)
-        except ConvergenceError as exc:
-            return _finish_sweep(
-                "gamma", scenario.network, samples, args.output,
-                f"gamma={value:g} did not converge ({exc})",
-            )
-        samples.append(_sample(scenario.network, behavior, value, report))
-    return _finish_sweep("gamma", scenario.network, samples, args.output, None)
+    def solve_at(scenario, value, config):
+        return centralized.solve_op_a(scenario.network, BehavioralModel(value), config)
+
+    return _sweep(args, "gamma", lambda v: field_problem("gamma", v), solve_at)
 
 
 def _cmd_sweep_tau(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    grid = _grid(args, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]")
-    config = _config(centralized.SolverConfig, scenario.solver, args)
-    samples: List[scenario_io.SweepSample] = []
-    for value in grid:
+    def solve_at(scenario, value, config):
         network = TransportNetwork(
             scenario.network.targets,
-            tuple(replace(s, weight_tau=float(value)) for s in scenario.network.sources),
+            tuple(replace(s, weight_tau=value) for s in scenario.network.sources),
             scenario.network.edges,
         )
-        try:
-            report = centralized.solve_op_b(network, scenario.behavior, config)
-        except ConvergenceError as exc:
-            return _finish_sweep(
-                "tau", scenario.network, samples, args.output,
-                f"tau={value:g} did not converge ({exc})",
-            )
-        samples.append(_sample(network, scenario.behavior, value, report))
-    return _finish_sweep("tau", scenario.network, samples, args.output, None)
+        return centralized.solve_op_b(network, scenario.behavior, config)
+
+    return _sweep(args, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]", solve_at)
 
 
 def _checked(name: str, convert):

@@ -34,6 +34,9 @@ __all__ = [
     "TraceRecord",
     "SolveReport",
     "prelec_weight",
+    "weight_at",
+    "psi",
+    "psi_slope",
     "attack_probability",
     "true_loss",
     "perceived_loss",
@@ -146,6 +149,29 @@ def prelec_weight(p: float, gamma: float) -> float:
     return math.exp(-((-math.log(p)) ** gamma))
 
 
+# The kernel works in L = -log p and never forms p, which underflows at
+# large totals; k is the family's log_rate_slope, log(dL/dt) = k L. It takes
+# floats or arrays; w and exp(psi) underflow to 0.0 rather than raise.
+
+
+def weight_at(big_l, gamma: float):
+    """Prelec's weight w at L: exp(-L^gamma). A target's perceived loss is U w."""
+    return np.exp(-(big_l**gamma))
+
+
+def psi(big_l, gamma: float, k):
+    """log(-marginal / U) = log gamma + (gamma - 1) log L - L^gamma + k L,
+    strictly decreasing and convex for L > 0."""
+    # math.log is several times faster than np.log on one float
+    log_l = math.log(big_l) if isinstance(big_l, float) else np.log(big_l)
+    return math.log(gamma) + (gamma - 1.0) * log_l - big_l**gamma + k * big_l
+
+
+def psi_slope(big_l, gamma: float, k):
+    """d psi / dL."""
+    return (gamma - 1.0 - gamma * big_l**gamma) / big_l + k
+
+
 @dataclass(frozen=True)
 class AttackProbabilityModel:
     """Attack-success probability as a function of total received resources.
@@ -186,7 +212,8 @@ class AttackProbabilityModel:
         """L(t) = -log p(t):  t + r  or  log(t + r)."""
         if self.family == "exponential":
             return total_received + self.baseline
-        return np.log(total_received + self.baseline)
+        s = total_received + self.baseline
+        return math.log(s) if isinstance(s, float) else np.log(s)
 
     def amount_at(self, neg_log_p):
         """Inverse of :meth:`neg_log_probability`: the total t with L(t) = L."""
@@ -380,8 +407,10 @@ class EdgeIndex:
     ``target_groups`` and ``source_groups`` bucket each side by edge count
     (see ``_degree_groups``): a dense row per node sums bit for bit like the
     node's own slice. ``tau_c`` holds the per-edge utility weight
-    tau_y * c_xy.  Built by :class:`TransportNetwork`; the arrays are
-    read-only.
+    tau_y * c_xy; ``edge_targets`` each edge's target position. Per
+    target, in listed order, ``loss_values``, ``baselines`` and
+    ``log_rate_slopes`` (k) feed the kernel. Built by
+    :class:`TransportNetwork`; the arrays are read-only.
     """
 
     def __init__(
@@ -406,16 +435,39 @@ class EdgeIndex:
         self.source_indices = [np.array(m, dtype=int) for m in members]
         self.target_groups = _degree_groups([range(sl.start, sl.stop) for sl in self.target_slices])
         self.source_groups = _degree_groups(members)
-        groups = self.target_groups + self.source_groups
-        for array in (*self.source_indices, tau_c, *(a for group in groups for a in group)):
-            array.flags.writeable = False
         self.tau_c = tau_c
+        self.edge_targets = np.repeat(np.arange(len(sizes)), sizes)
+        self.loss_values = np.array([t.loss_value for t in network.targets])
+        self.baselines = np.array([t.prob_model.baseline for t in network.targets])
+        self.log_rate_slopes = np.array([t.prob_model.log_rate_slope for t in network.targets])
+        per_target = (self.edge_targets, self.loss_values, self.baselines, self.log_rate_slopes)
+        groups = self.target_groups + self.source_groups
+        for array in (*self.source_indices, tau_c, *per_target, *(a for g in groups for a in g)):
+            array.flags.writeable = False
 
-    def target_totals(self, x: np.ndarray) -> List[float]:
+    def totals(self, x: np.ndarray) -> np.ndarray:
+        """Each target's total received amount under the edge vector x."""
         totals = np.empty(len(self.target_slices))
         for nodes, positions in self.target_groups:
             totals[nodes] = x[positions].sum(axis=1)
-        return totals.tolist()
+        return totals
+
+    def target_totals(self, x: np.ndarray) -> List[float]:
+        return self.totals(x).tolist()
+
+    def neg_log_p(self, totals: np.ndarray) -> np.ndarray:
+        """L = -log p at each target's total (see AttackProbabilityModel)."""
+        big_l = totals + self.baselines
+        return np.log(big_l, out=big_l, where=self.log_rate_slopes != 0.0)
+
+    def loss_at(self, totals: np.ndarray, gamma: float) -> float:
+        """The perceived loss  sum_x U_x w(p_x)  at the targets' totals."""
+        return float(self.loss_values @ weight_at(self.neg_log_p(totals), gamma))
+
+    def marginals(self, totals: np.ndarray, gamma: float) -> np.ndarray:
+        """d(U w(p))/dt of each target at its total, -U exp(psi(L))."""
+        big_l = self.neg_log_p(totals)
+        return -self.loss_values * np.exp(psi(big_l, gamma, self.log_rate_slopes))
 
     def to_plan(self, x: np.ndarray) -> "AllocationPlan":
         return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
@@ -486,10 +538,15 @@ def loss_at_totals(
 ) -> float:
     """Weighted loss  sum_x U_x * w(p_x(totals[x]))  over the network's
     targets in listed order; w is the identity at gamma = 1."""
-    return sum(
-        t.loss_value * prelec_weight(t.prob_model.probability(tot), gamma)
-        for t, tot in zip(network.targets, totals)
-    )
+    return network.edge_index.loss_at(np.asarray(totals, dtype=float), gamma)
+
+
+def _loss_and_utility(
+    network: TransportNetwork, x: np.ndarray, gamma: float
+) -> Tuple[float, float]:
+    """Perceived loss and source utility  sum tau_y c_xy pi_xy  of the edge vector x."""
+    index = network.edge_index
+    return index.loss_at(index.totals(x), gamma), float(index.tau_c @ x)
 
 
 def true_loss(network: TransportNetwork, plan: AllocationPlan) -> float:
@@ -510,31 +567,21 @@ def perceived_loss(
 def marginal_perceived_cost(
     target: TargetSpec, behavior: BehavioralModel, total_received: float
 ) -> float:
-    """Derivative of U * w(p(t)) with respect to the total received t.
+    """Derivative of U * w(p(t)) with respect to the total received t,
+    -U exp(psi(L(t))). Always negative, strictly increasing in t, and
+    tending to 0 as t grows: additional resources always help, but less
+    and less.
 
-    Closed form  U * gamma * (-log p)^(gamma-1) * (p'/p) * w(p).  Always
-    negative, strictly increasing in t, and tending to 0 as t grows:
-    additional resources always help, but less and less.
-
-    Raises DomainError when p(t) lands exactly on 0 or 1, where the
-    (-log p)^(gamma-1) factor is undefined; the shipped probability
-    families stay strictly inside (0, 1) for all finite t.
+    Raises DomainError at a negative total and where p(t) underflows to 0.
+    The array form, EdgeIndex.marginals, underflows to 0.0 instead.
     """
-    gamma = behavior.gamma
-    p = target.prob_model.probability(total_received)
-    if p <= 0.0 or p >= 1.0:
-        raise DomainError(
-            f"marginal undefined at p={p} (total_received={total_received})"
-        )
-    neg_log_p = -math.log(p)
-    weight = prelec_weight(p, gamma)
-    return (
-        target.loss_value
-        * gamma
-        * neg_log_p ** (gamma - 1.0)
-        * target.prob_model.log_derivative(total_received)
-        * weight
-    )
+    if total_received < 0:
+        raise DomainError(f"total_received must be >= 0, got {total_received}")
+    model = target.prob_model
+    big_l = model.neg_log_probability(total_received)
+    if math.exp(-big_l) == 0.0:
+        raise DomainError(f"marginal undefined at p=0.0 (total_received={total_received})")
+    return -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
 
 
 def _increasing_root(f: Callable[[float], float], f_zero: float, cap: float) -> float:

@@ -235,18 +235,20 @@ def _read_list(
     return [r for r in records if r is not None]
 
 
-def _new_id(what: str) -> _Reader:
-    """Reader of the ``id`` field, rejecting an id already read."""
-    seen = set()
+def _new_id(what: str, declared: List[str]) -> _Reader:
+    """Reader of the ``id`` field, rejecting an id already read. Each id it
+    accepts is appended to ``declared``, so that references to it resolve
+    even when another field of its record is rejected."""
 
     def read(node, path: str, diag: _Diag) -> Optional[str]:
         value = _to_str(node, path, diag)
         if value is None:  # a mapping or list leaves the record without an id
             diag.add(node, f"{path} is required")
-        elif value in seen:
+        elif value in declared:
             diag.add(node, f"duplicate {what} id {value!r}")
             return None
-        seen.add(value)
+        else:
+            declared.append(value)
         return value
 
     return read
@@ -359,20 +361,20 @@ def parse_scenario(text: str) -> ScenarioFile:
     behavior = None
     if "behavior" in items:
         behavior = _read_record(items["behavior"], "behavior", {"gamma": float}, diag, ("gamma",))
+    target_ids: List[str] = []
     targets: List[Dict[str, object]] = []
     if "targets" in items:
-        kinds = {"id": _new_id("target"), **_TARGET_KINDS}
+        kinds = {"id": _new_id("target", target_ids), **_TARGET_KINDS}
         targets = _read_list(items["targets"], "targets", kinds, ("id", "loss_value"), diag)
-    target_ids = [t["id"] for t in targets]
+    source_ids: List[str] = []
     sources: List[Dict[str, object]] = []
     if "sources" in items:
         kinds = {
-            "id": _new_id("source"),
+            "id": _new_id("source", source_ids),
             **_SOURCE_KINDS,
             "utility_coeffs": _coeffs_reader(target_ids),
         }
         sources = _read_list(items["sources"], "sources", kinds, ("id", "supply_upper"), diag)
-    source_ids = [s["id"] for s in sources]
     complete, edges = False, []
     if "edges" in items:
         complete, edges = _parse_edges(items["edges"], target_ids, source_ids, diag)

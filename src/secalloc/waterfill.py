@@ -8,12 +8,10 @@ common marginal "water level", and so on. The budget level at which
 target j starts receiving resources is the sum of pairwise thresholds
 pi_i^{j*} over all higher-valued targets i.
 
-All of it inverts one function. With L = -log p and log(dL/dt) = k L (k
-set by the family), log(-marginal / U) = psi(L) = log gamma +
-(gamma - 1) log L - L^gamma + k L, strictly decreasing and convex for
-L > 0. So Newton's method started at L(0), below the root, climbs to it
-monotonically (every tangent lies under psi) and needs no bracket; p,
-which underflows at large totals, is never formed.
+All of it inverts one function of L = -log p, the kernel's
+psi(L) = log(-marginal / U) (see model), which is strictly decreasing and
+convex. So Newton's method started at L(0), below the root, climbs to it
+monotonically (every tangent lies under psi) and needs no bracket.
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ from .model import (
     TransportNetwork,
     _increasing_root,
     marginal_perceived_cost,
+    psi,
+    psi_slope,
 )
 
 __all__ = [
@@ -47,24 +47,15 @@ __all__ = [
 ]
 
 
-def _psi(model: AttackProbabilityModel, gamma: float, big_l):
-    """psi(L) = log(-marginal / U) and its slope d psi / dL."""
-    power = big_l**gamma
-    k = model.log_rate_slope
-    value = math.log(gamma) + (gamma - 1.0) * np.log(big_l) - power + k * big_l
-    return value, (gamma - 1.0 - gamma * power) / big_l + k
-
-
 def _amounts_at_level(
     model: AttackProbabilityModel, gamma: float, level: np.ndarray
 ) -> np.ndarray:
     """Amounts t with psi(L(t)) = level, elementwise, by Newton from L(0)
     until no element moves up; exactly 0.0 where psi(L(0)) <= level."""
-    start = model.neg_log_probability(0.0)
+    start, k = model.neg_log_probability(0.0), model.log_rate_slope
     big_l = np.full(np.shape(level), start)
     for _ in range(_MAX_ROOT_STEPS):
-        value, slope = _psi(model, gamma, big_l)
-        step = big_l - (value - level) / slope
+        step = big_l - (psi(big_l, gamma, k) - level) / psi_slope(big_l, gamma, k)
         moved = step > big_l
         if not moved.any():
             break
@@ -79,7 +70,7 @@ def _threshold_matrix(
     at zero, 0.0 where it already sits at or above it. The rows share one
     probability model, and every model is of one family."""
     l_zero = np.array([t.prob_model.neg_log_probability(0.0) for t in cols])
-    col_psi = _psi(cols[0].prob_model, gamma, l_zero)[0]
+    col_psi = psi(l_zero, gamma, cols[0].prob_model.log_rate_slope)
     col_level = np.log([t.loss_value for t in cols]) + col_psi
     row_log_u = np.log([t.loss_value for t in rows])
     return _amounts_at_level(rows[0].prob_model, gamma, col_level - row_log_u[:, None])
@@ -167,7 +158,7 @@ def _aggregates_at_budget(
     offsets = log_u[0] - log_u[1:]
 
     def others(top: float) -> np.ndarray:
-        level = _psi(model, gamma, model.neg_log_probability(top))[0]
+        level = psi(model.neg_log_probability(top), gamma, model.log_rate_slope)
         return _amounts_at_level(model, gamma, level + offsets)
 
     top = _increasing_root(lambda t1: t1 + float(others(t1).sum()) - budget, -budget, budget)
@@ -264,4 +255,4 @@ def gamma_sensitivity(
     numerator = (big_l**gamma - 1.0) * math.log(big_l) - (l_j0**gamma - 1.0) * math.log(l_j0)
     # d/dpi of log(-marginal_i) at the threshold: psi'(L) dL/dt, dL/dt = exp(k L)
     dl_dt = math.exp(i.prob_model.log_rate_slope * big_l)
-    return float(numerator / (_psi(i.prob_model, gamma, big_l)[1] * dl_dt))
+    return float(numerator / (psi_slope(big_l, gamma, i.prob_model.log_rate_slope) * dl_dt))

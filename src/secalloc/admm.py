@@ -14,6 +14,7 @@ round-k state, then one barrier applies the consensus and dual updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
@@ -29,10 +30,12 @@ from .model import (
     TargetSpec,
     TraceRecord,
     TransportNetwork,
-    _increasing_root,
+    _MAX_ROOT_STEPS,
+    _ROOT_RTOL,
     _loss_and_utility,
     check_fields,
     marginal_perceived_cost,
+    psi_slope,
     # kept importable: bench/tracing.py wraps these names here
     perceived_loss,  # noqa: F401
     prelec_weight,  # noqa: F401
@@ -54,10 +57,16 @@ __all__ = [
 
 Edge = Tuple[str, str]
 
+# run_admm doubles or halves eta while one residual exceeds the other by
+# _BALANCE_RATIO, only in the first _BALANCE_ROUNDS rounds: a penalty that
+# stops changing keeps ADMM's convergence guarantee (He, Yang & Wang 2000)
+_BALANCE_ROUNDS = 100
+_BALANCE_RATIO = 10.0
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    eta: float = 1.0
+    eta: float = 1.0  # the starting penalty; run_admm balances it
     max_iterations: int = 5000
     primal_tolerance: float = 1e-6
     dual_tolerance: float = 1e-6
@@ -156,28 +165,45 @@ def target_subproblem(
 
     The optimum is  v = max(b - g'(S)/eta, 0)  with  b = pi - alpha/eta,
     g' the marginal perceived cost and S = sum v, so only the scalar S is
-    unknown. It is the root of the increasing
-    F(S) = S - sum max(b - g'(S)/eta, 0), which lies in [0, -F(0)]. If S
-    falls outside the demand bounds, the optimum sits on the nearer bound,
-    where the perceived cost is constant: the projection of b onto
-    {v >= 0, sum v = bound}.
+    unknown. It is the root of F(S) = S - sum max(b - g'(S)/eta, 0), which
+    is increasing and concave: -g' = U exp(psi(L(S))) is convex in S. So
+    Newton's method from the agent's own last total lands at or left of the
+    root in one step (clamped at 0) and then rises to it, never probing
+    past the larger of the start and the root. If S falls outside the demand bounds, the
+    optimum sits on the nearer bound, where the perceived cost is
+    constant: the projection of b onto {v >= 0, sum v = bound}.
     """
     spec = agent.spec
     behavior = agent.behavior
+    model = spec.prob_model
+    gamma, k = behavior.gamma, model.log_rate_slope
     b = [consensus[e] - duals[e] / eta for e in agent.edges]
 
-    def excess(total: float) -> float:
-        shift = marginal_perceived_cost(spec, behavior, total) / eta
-        return total - sum(max(x - shift, 0.0) for x in b)
+    def newton(total: float) -> Tuple[float, float]:
+        # the shift g'(S)/eta at S and the Newton step -F(S)/F'(S), with
+        # F' = 1 + n_active g''(S)/eta and g'' = g' psi_slope(L) exp(k L)
+        marginal = marginal_perceived_cost(spec, behavior, total)
+        shift = marginal / eta
+        active = [x - shift for x in b if x > shift]
+        big_l = model.neg_log_probability(total)
+        curvature = marginal * psi_slope(big_l, gamma, k) * math.exp(k * big_l)
+        return shift, (sum(active) - total) / (1.0 + len(active) * curvature / eta)
 
-    f_zero = excess(0.0)
-    total = _increasing_root(excess, f_zero, -f_zero)
+    total = sum(agent.local_plan.values())
+    shift, step = newton(total)
+    if abs(step) > _ROOT_RTOL * total:
+        for _ in range(_MAX_ROOT_STEPS):
+            total = max(total + step, 0.0)
+            shift, step = newton(total)
+            # past the first step the iterates only rise; a step that does
+            # not, by more than the root-find's tolerance, ends the search
+            if step <= _ROOT_RTOL * total:
+                break
     if total > spec.demand_upper:
         v = project_capped_sum(np.array(b), spec.demand_upper)
     elif total < spec.demand_lower:
         v = project_capped_sum(np.array(b), spec.demand_lower)
     else:
-        shift = marginal_perceived_cost(spec, behavior, total) / eta
         v = [max(x - shift, 0.0) for x in b]
     return {e: float(val) for e, val in zip(agent.edges, v)}
 
@@ -270,7 +296,11 @@ def run_admm(
 
     Terminates when the worst per-edge disagreement |pi^t - pi^s| falls
     below ``primal_tolerance`` and the consensus plan has stopped moving
-    by more than ``dual_tolerance``.
+    by more than ``dual_tolerance``. The penalty starts at ``config.eta``;
+    in the first ``_BALANCE_ROUNDS`` rounds it doubles while that
+    disagreement (the primal residual) exceeds ``_BALANCE_RATIO`` times
+    eta times the consensus move (the dual residual) and halves in the
+    opposite case (Boyd et al. 2011, section 3.4.1), and then stays fixed.
     """
     _check_op_b_feasible(network)
     agents: List[Union[TargetAgent, SourceAgent]] = [
@@ -290,12 +320,13 @@ def run_admm(
         for e in agent.edges:
             agent.receive(e, edge_states[e].consensus, edge_states[e].dual)
 
+    eta = config.eta
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
         for agent in agents:
-            agent.solve(config.eta)
+            agent.solve(eta)
         previous = consensus
-        edge_states = message_bus_round(agents, edge_states, config.eta)
+        edge_states = message_bus_round(agents, edge_states, eta)
         consensus = np.array([edge_states[e].consensus for e in index.edges])
 
         primal = max(
@@ -307,6 +338,12 @@ def run_admm(
         trace.append(TraceRecord(iteration, primal, perceived - utility, perceived))
         if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
             return _report(network, behavior, consensus, iteration, trace)
+        if iteration <= _BALANCE_ROUNDS:
+            # the duals are prices, not scaled by eta, so they carry over
+            if primal > _BALANCE_RATIO * eta * drift:
+                eta *= 2.0
+            elif eta * drift > _BALANCE_RATIO * primal:
+                eta *= 0.5
     raise ConvergenceError(
         f"consensus not reached in {config.max_iterations} iterations",
         trace=trace,

@@ -213,7 +213,8 @@ def _read_record(
     for key in required:
         if key not in items:
             diag.add(node, f"{path}.{key} is required")
-    crossed = bound_problems(values)
+    # a rejected bound is left out, so it cannot also report a crossing
+    crossed = bound_problems(accepted)
     for phrase in crossed:
         diag.add(node, f"{path}: {phrase}")
     if crossed or not accepted.keys() >= set(required):

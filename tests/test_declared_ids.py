@@ -47,3 +47,64 @@ def test_the_scenario_parses_when_every_field_passes():
     assert [t.id for t in scenario.network.targets] == ["t1", "t2"]
     assert scenario.network.source_by_id("s1").utility_coeffs == {"t1": 0.5, "t2": 1.0}
 
+
+
+BOUNDED = """
+behavior:
+  gamma: 0.5
+targets:
+  - id: t1
+    loss_value: 12.0
+    demand_lower: {demand_lower}
+    demand_upper: {demand_upper}
+sources:
+  - id: s1
+    supply_upper: {supply_upper}
+    supply_lower: {supply_lower}
+edges: complete
+"""
+
+
+def bounded(demand_lower="0.0", demand_upper="8.0", supply_upper="4.0", supply_lower="1.0"):
+    return BOUNDED.format(
+        demand_lower=demand_lower,
+        demand_upper=demand_upper,
+        supply_upper=supply_upper,
+        supply_lower=supply_lower,
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"supply_upper": "-1.0"}, "sources[0].supply_upper must be > 0"),
+        ({"supply_lower": ".inf"}, "sources[0].supply_lower must be finite"),
+        ({"demand_lower": ".inf"}, "targets[0].demand_lower must be finite"),
+    ],
+)
+def test_a_rejected_bound_reports_no_crossing(fields, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(bounded(**fields))
+    assert len(info.value.diagnostics) == 1
+    assert message in info.value.diagnostics[0]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"supply_lower": "5.0"}, "sources[0]: supply_lower must be <= supply_upper"),
+        ({"demand_lower": "9.0"}, "targets[0]: demand_upper must be >= demand_lower"),
+        ({"demand_upper": "-1.0"}, "targets[0]: demand_upper must be >= demand_lower"),
+    ],
+)
+def test_a_crossing_of_two_valid_bounds_is_still_reported(fields, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(bounded(**fields))
+    assert len(info.value.diagnostics) == 1
+    assert message in info.value.diagnostics[0]
+
+
+def test_the_bounded_scenario_parses():
+    scenario = parse_scenario(bounded())
+    assert scenario.network.source_by_id("s1").supply_lower == 1.0
+    assert scenario.network.target_by_id("t1").demand_upper == 8.0

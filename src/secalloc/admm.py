@@ -312,7 +312,8 @@ def run_admm(
     consensus = _initial_consensus(network)
     # a network infeasible at one node passes the aggregate check, but its
     # projection never settles and raises InfeasibleError
-    _make_projector(network, "op_b")(consensus)
+    project = _make_projector(network, "op_b")
+    project(consensus)
     edge_states = {
         e: EdgeState(consensus=float(c)) for e, c in zip(index.edges, consensus)
     }
@@ -337,7 +338,8 @@ def run_admm(
         perceived, utility = _loss_and_utility(network, consensus, behavior.gamma)
         trace.append(TraceRecord(iteration, primal, perceived - utility, perceived))
         if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
-            return _report(network, behavior, consensus, iteration, trace)
+            # the consensus meets each bound only to within the tolerances
+            return _report(network, behavior, project(consensus), iteration, trace)
         if iteration <= _BALANCE_ROUNDS:
             # the duals are prices, not scaled by eta, so they carry over
             if primal > _BALANCE_RATIO * eta * drift:

@@ -8,7 +8,7 @@ the second additionally rewards source utility:
 * weighted mode ("op_b"): min sum_x U_x w(p_x(.)) - sum tau_y c_xy pi_xy
   s.t. per-source supply bounds and per-target received-amount bounds.
 
-The solver is projected gradient descent with Armijo backtracking. The
+The solver is spectral projected gradient with Armijo backtracking. The
 objective is smooth and convex on the feasible region. The projection onto
 the feasible set keeps one multiplier per node and shifts each node's
 edges by a sort-based capped-simplex threshold; in the weighted mode the
@@ -51,6 +51,7 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
+_MIN_ALPHA, _MAX_ALPHA = 1e-10, 1e2  # clamp on the spectral step
 _STALL_ITERATIONS = 10
 _SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
 _MAX_CYCLES = 10000
@@ -192,40 +193,50 @@ def _pgd(
     project: Callable[[np.ndarray], np.ndarray],
     config: SolverConfig,
 ) -> Tuple[np.ndarray, int, List[TraceRecord], bool]:
-    """Projected gradient descent with Armijo backtracking (halving).
+    """Spectral projected gradient (Barzilai & Borwein 1988; Birgin,
+    Martinez & Raydan 2000) with monotone Armijo backtracking.
 
-    Converged when the unit-step projected-gradient norm falls below
-    ``gradient_tolerance``, or when the objective changes by at most
-    ``objective_tolerance`` for 10 consecutive iterations.
+    Each iteration projects once, p = P(x - alpha g), and halves along the
+    feasible direction d = p - x. alpha starts at ``step_size``, then is the
+    BB2 step s'y / y'y, clamped, or ``step_size`` again when s'y <= 0.
+    Converged when ||d|| / min(alpha, 1), an upper bound on the unit-step
+    projected-gradient norm, falls below ``gradient_tolerance``, or when the
+    objective changes by at most ``objective_tolerance`` for 10 consecutive
+    iterations.
     """
     x = project(np.asarray(x0, dtype=float))
-    fx = objective(x)
+    fx, g = objective(x), gradient(x)
+    alpha = config.step_size
     trace: List[TraceRecord] = []
     stall = 0
     for iteration in range(1, config.max_iterations + 1):
-        g = gradient(x)
-        unit = project(x - g)
-        residual = float(np.linalg.norm(x - unit))
+        p = project(x - alpha * g)
+        d = p - x
+        residual = float(np.linalg.norm(d)) / min(alpha, 1.0)
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, True
-        step = config.step_size
+        slope, lam = float(g @ d), 1.0
         x_new, f_new = x, fx
-        while step >= _MIN_STEP:
-            # x - 1.0 * g is x - g: the residual's projection is the candidate
-            candidate = unit if step == 1.0 else project(x - step * g)
+        while lam >= _MIN_STEP:
+            # x + lam d lies between x and p, so it is feasible by convexity
+            candidate = p if lam == 1.0 else x + lam * d
             f_candidate = objective(candidate)
-            if f_candidate <= fx + _ARMIJO * float(g @ (candidate - x)):
+            if f_candidate <= fx + _ARMIJO * lam * slope:
                 x_new, f_new = candidate, f_candidate
                 break
-            step *= 0.5
+            lam *= 0.5
         if abs(fx - f_new) <= config.objective_tolerance:
             stall += 1
             if stall >= _STALL_ITERATIONS:
                 return x_new, iteration, trace, True
         else:
             stall = 0
-        x, fx = x_new, f_new
+        g_new = gradient(x_new)
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        alpha = min(max(sy / float(y @ y), _MIN_ALPHA), _MAX_ALPHA) if sy > 0 else config.step_size
+        x, fx, g = x_new, f_new, g_new
     return x, config.max_iterations, trace, False
 
 

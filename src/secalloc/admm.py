@@ -102,7 +102,32 @@ def dual_update(edge: EdgeState, eta: float) -> EdgeState:
     )
 
 
-class TargetAgent:
+class _Agent:
+    """One node's agent: its own spec and edges, the (consensus, dual) pair
+    last received on each edge, and its latest per-edge proposal."""
+
+    def __init__(self, spec: Union[TargetSpec, SourceSpec], edges: Tuple[Edge, ...]):
+        self.spec = spec
+        self.edges = edges
+        self.mailbox: Dict[Edge, Tuple[float, float]] = {
+            e: (0.0, 0.0) for e in edges
+        }
+        self.local_plan: Dict[Edge, float] = {e: 0.0 for e in edges}
+
+    def receive(self, edge: Edge, consensus: float, dual: float) -> None:
+        self.mailbox[edge] = (consensus, dual)
+
+    def _inbox(self) -> Tuple[Dict[Edge, float], Dict[Edge, float]]:
+        """The duals and the consensus amounts of the agent's edges."""
+        duals = {e: self.mailbox[e][1] for e in self.edges}
+        consensus = {e: self.mailbox[e][0] for e in self.edges}
+        return duals, consensus
+
+    def propose(self) -> Mapping[Edge, float]:
+        return dict(self.local_plan)
+
+
+class TargetAgent(_Agent):
     """Target-side agent; sees only its own spec and the weighting model."""
 
     def __init__(
@@ -111,47 +136,18 @@ class TargetAgent:
         behavior: BehavioralModel,
         edges: Tuple[Edge, ...],
     ):
-        self.spec = spec
+        super().__init__(spec, edges)
         self.behavior = behavior
-        self.edges = edges
-        self.mailbox: Dict[Edge, Tuple[float, float]] = {
-            e: (0.0, 0.0) for e in edges
-        }
-        self.local_plan: Dict[Edge, float] = {e: 0.0 for e in edges}
-
-    def receive(self, edge: Edge, consensus: float, dual: float) -> None:
-        self.mailbox[edge] = (consensus, dual)
 
     def solve(self, eta: float) -> None:
-        duals = {e: self.mailbox[e][1] for e in self.edges}
-        consensus = {e: self.mailbox[e][0] for e in self.edges}
-        self.local_plan = target_subproblem(self, duals, consensus, eta)
-
-    def propose(self) -> Mapping[Edge, float]:
-        return dict(self.local_plan)
+        self.local_plan = target_subproblem(self, *self._inbox(), eta)
 
 
-class SourceAgent:
+class SourceAgent(_Agent):
     """Source-side agent; sees only its own spec."""
 
-    def __init__(self, spec: SourceSpec, edges: Tuple[Edge, ...]):
-        self.spec = spec
-        self.edges = edges
-        self.mailbox: Dict[Edge, Tuple[float, float]] = {
-            e: (0.0, 0.0) for e in edges
-        }
-        self.local_plan: Dict[Edge, float] = {e: 0.0 for e in edges}
-
-    def receive(self, edge: Edge, consensus: float, dual: float) -> None:
-        self.mailbox[edge] = (consensus, dual)
-
     def solve(self, eta: float) -> None:
-        duals = {e: self.mailbox[e][1] for e in self.edges}
-        consensus = {e: self.mailbox[e][0] for e in self.edges}
-        self.local_plan = source_subproblem(self, duals, consensus, eta)
-
-    def propose(self) -> Mapping[Edge, float]:
-        return dict(self.local_plan)
+        self.local_plan = source_subproblem(self, *self._inbox(), eta)
 
 
 def target_subproblem(
@@ -336,7 +332,7 @@ def run_admm(
         )
         drift = float(np.abs(consensus - previous).max())
         perceived, utility = _loss_and_utility(network, consensus, behavior.gamma)
-        trace.append(TraceRecord(iteration, primal, perceived - utility, perceived))
+        trace.append(TraceRecord(iteration, primal, perceived - utility))
         if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
             # the consensus meets each bound only to within the tolerances
             return _report(network, behavior, project(consensus), iteration, trace)

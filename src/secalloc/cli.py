@@ -21,6 +21,7 @@ from . import admm as admm_mod
 from . import centralized, scenario_io, waterfill
 from .errors import ConvergenceError, InfeasibleError, PreconditionError, ScenarioError
 from .model import BehavioralModel, SolveReport, TransportNetwork, _plan_totals, field_problem
+from .scenario_io import _fmt, _write_lines
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -30,10 +31,6 @@ EXIT_NO_CONVERGENCE = 5
 EXIT_IO = 6
 
 _ACTIVE_EPS = 1e-6
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
 
 
 def _load_scenario(path: str) -> scenario_io.ScenarioFile:
@@ -67,11 +64,6 @@ def _plan_lines(network: TransportNetwork, report: SolveReport) -> List[str]:
     return lines
 
 
-def _write_report(path: str, header: List[str], body: List[str]) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(header + body) + "\n")
-
-
 def _report_header(mode: str, report: SolveReport) -> List[str]:
     return [
         f"mode: {mode}",
@@ -94,11 +86,7 @@ def _cmd_solve(args) -> int:
     config = _config(centralized.SolverConfig, scenario.solver, args)
     solve = centralized.solve_op_a if mode == "op_a" else centralized.solve_op_b
     report = solve(scenario.network, scenario.behavior, config)
-    _write_report(
-        args.output,
-        _report_header(mode, report),
-        _plan_lines(scenario.network, report),
-    )
+    _write_lines(args.output, _report_header(mode, report) + _plan_lines(scenario.network, report))
     scenario_io.write_trace_csv(report, _trace_path(args))
     print(f"converged in {report.iterations} iterations; wrote {args.output}")
     return EXIT_OK
@@ -120,7 +108,7 @@ def _cmd_waterfill(args) -> int:
     lines.append("plan:")
     for edge in network.edges:
         lines.append(f"  {edge[0]} {edge[1]} {_fmt(trace.per_source_plan.amounts[edge])}")
-    _write_report(args.output, [], lines)
+    _write_lines(args.output, lines)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -141,7 +129,7 @@ def _cmd_admm(args) -> int:
         f"centralized_objective: {_fmt(central_objective)}",
         f"relative_gap: {_fmt(gap)}",
     ]
-    _write_report(args.output, lines, _plan_lines(scenario.network, report))
+    _write_lines(args.output, lines + _plan_lines(scenario.network, report))
     scenario_io.write_trace_csv(report, _trace_path(args))
     print(f"consensus in {report.iterations} iterations; wrote {args.output}")
     return EXIT_OK

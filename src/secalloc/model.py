@@ -40,7 +40,6 @@ __all__ = [
     "attack_probability",
     "true_loss",
     "perceived_loss",
-    "loss_at_totals",
     "marginal_perceived_cost",
     "FIELD_RULES",
     "field_problem",
@@ -129,7 +128,7 @@ def check_fields(owner: str, values: Mapping[str, object]) -> None:
 
 
 def prelec_weight(p: float, gamma: float) -> float:
-    """Probability weighting  w(p) = exp(-(-log p)^gamma).
+    """Probability weighting  w(p) = exp(-(-log p)^gamma), weight_at(-log p).
 
     gamma in (0, 1] controls the distortion: gamma = 1 is the identity,
     smaller gamma overweights small probabilities and underweights large
@@ -140,13 +139,7 @@ def prelec_weight(p: float, gamma: float) -> float:
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
-    if gamma == 1.0:
-        return p
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return math.exp(-((-math.log(p)) ** gamma))
+    return float(weight_at(-math.log(p), gamma)) if p > 0.0 else 0.0
 
 
 # The kernel works in L = -log p and never forms p, which underflows at
@@ -199,13 +192,6 @@ class AttackProbabilityModel:
     def reciprocal(cls, baseline: float) -> "AttackProbabilityModel":
         return cls("reciprocal", baseline)
 
-    def probability(self, total_received: float) -> float:
-        if total_received < 0:
-            raise DomainError(f"total_received must be >= 0, got {total_received}")
-        if self.family == "exponential":
-            return math.exp(-total_received - self.baseline)
-        return 1.0 / (total_received + self.baseline)
-
     # log space, L = -log p, for callers that must not form p (it underflows
     # at large totals); elementwise on arrays, the sign of t is not checked
     def neg_log_probability(self, total_received):
@@ -226,29 +212,28 @@ class AttackProbabilityModel:
         """k with  log(dL/dt) = k * L:  0 (dL/dt = 1) or -1 (dL/dt = 1/(t + r))."""
         return 0.0 if self.family == "exponential" else -1.0
 
-    def derivative(self, total_received: float) -> float:
-        """dp/dt, always negative."""
+    # p and its derivatives at one total t >= 0, all from L and k
+    def _checked_neg_log(self, total_received: float) -> float:
         if total_received < 0:
             raise DomainError(f"total_received must be >= 0, got {total_received}")
-        if self.family == "exponential":
-            return -math.exp(-total_received - self.baseline)
-        return -1.0 / (total_received + self.baseline) ** 2
+        return self.neg_log_probability(total_received)
+
+    def probability(self, total_received: float) -> float:
+        """p = e^{-L}."""
+        return math.exp(-self._checked_neg_log(total_received))
+
+    def derivative(self, total_received: float) -> float:
+        """dp/dt = -e^{(k-1)L}, always negative."""
+        return -math.exp((self.log_rate_slope - 1.0) * self._checked_neg_log(total_received))
 
     def second_derivative(self, total_received: float) -> float:
-        """d2p/dt2, always positive (both families are convex in t)."""
-        if total_received < 0:
-            raise DomainError(f"total_received must be >= 0, got {total_received}")
-        if self.family == "exponential":
-            return math.exp(-total_received - self.baseline)
-        return 2.0 / (total_received + self.baseline) ** 3
+        """d2p/dt2 = (1-k) e^{(2k-1)L}, always positive (p is convex in t)."""
+        k = self.log_rate_slope
+        return (1.0 - k) * math.exp((2.0 * k - 1.0) * self._checked_neg_log(total_received))
 
     def log_derivative(self, total_received: float) -> float:
-        """(dp/dt) / p, computed in family-exact form to avoid cancellation."""
-        if total_received < 0:
-            raise DomainError(f"total_received must be >= 0, got {total_received}")
-        if self.family == "exponential":
-            return -1.0
-        return -1.0 / (total_received + self.baseline)
+        """(dp/dt) / p = -e^{kL}, with no cancellation."""
+        return -math.exp(self.log_rate_slope * self._checked_neg_log(total_received))
 
 
 def attack_probability(model: AttackProbabilityModel, total_received: float) -> float:
@@ -510,7 +495,6 @@ class TraceRecord:
     iteration: int
     primal_residual: float
     objective: float
-    perceived_loss: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -533,14 +517,6 @@ def _plan_totals(network: TransportNetwork, plan: AllocationPlan) -> List[float]
     return index.target_totals(index.to_vector(plan))
 
 
-def loss_at_totals(
-    network: TransportNetwork, totals: Sequence[float], gamma: float
-) -> float:
-    """Weighted loss  sum_x U_x * w(p_x(totals[x]))  over the network's
-    targets in listed order; w is the identity at gamma = 1."""
-    return network.edge_index.loss_at(np.asarray(totals, dtype=float), gamma)
-
-
 def _loss_and_utility(
     network: TransportNetwork, x: np.ndarray, gamma: float
 ) -> Tuple[float, float]:
@@ -551,7 +527,7 @@ def _loss_and_utility(
 
 def true_loss(network: TransportNetwork, plan: AllocationPlan) -> float:
     """Expected aggregated loss  sum_x U_x * p_x(total at x)."""
-    return loss_at_totals(network, _plan_totals(network, plan), 1.0)
+    return network.edge_index.loss_at(_plan_totals(network, plan), 1.0)
 
 
 def perceived_loss(
@@ -561,7 +537,7 @@ def perceived_loss(
 
     Coincides with :func:`true_loss` when gamma = 1.
     """
-    return loss_at_totals(network, _plan_totals(network, plan), behavior.gamma)
+    return network.edge_index.loss_at(_plan_totals(network, plan), behavior.gamma)
 
 
 def marginal_perceived_cost(
@@ -575,10 +551,8 @@ def marginal_perceived_cost(
     Raises DomainError at a negative total and where p(t) underflows to 0.
     The array form, EdgeIndex.marginals, underflows to 0.0 instead.
     """
-    if total_received < 0:
-        raise DomainError(f"total_received must be >= 0, got {total_received}")
     model = target.prob_model
-    big_l = model.neg_log_probability(total_received)
+    big_l = model._checked_neg_log(total_received)
     if math.exp(-big_l) == 0.0:
         raise DomainError(f"marginal undefined at p=0.0 (total_received={total_received})")
     return -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))

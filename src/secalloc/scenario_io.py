@@ -110,22 +110,10 @@ class _Diag:
         self.messages.append(f"line {_line(node)}: {message}")
 
 
-def _is_map(node) -> bool:
-    return isinstance(node, yaml.MappingNode)
-
-
-def _is_seq(node) -> bool:
-    return isinstance(node, yaml.SequenceNode)
-
-
-def _is_scalar(node) -> bool:
-    return isinstance(node, yaml.ScalarNode)
-
-
 def _map_items(node, diag: _Diag) -> Dict[str, object]:
     items: Dict[str, object] = {}
     for key_node, value_node in node.value:
-        if not _is_scalar(key_node):
+        if not isinstance(key_node, yaml.ScalarNode):
             diag.add(key_node, "mapping keys must be scalars")
             continue
         key = key_node.value
@@ -136,39 +124,37 @@ def _map_items(node, diag: _Diag) -> Dict[str, object]:
     return items
 
 
-def _to_float(node, path: str, diag: _Diag) -> Optional[float]:
-    if not _is_scalar(node):
-        diag.add(node, f"{path} must be a number")
-        return None
-    text = node.value.replace("_", "").lower()
-    try:  # YAML spells the non-finite floats .inf, -.inf and .nan
-        return float(text.replace(".inf", "inf").replace(".nan", "nan"))
-    except ValueError:
-        diag.add(node, f"{path} must be a number, got {node.value!r}")
-        return None
-
-
-def _to_int(node, path: str, diag: _Diag) -> Optional[int]:
-    if not _is_scalar(node):
-        diag.add(node, f"{path} must be an integer")
-        return None
-    try:
-        return int(node.value.replace("_", ""))
-    except ValueError:
-        diag.add(node, f"{path} must be an integer, got {node.value!r}")
-        return None
-
-
-def _to_str(node, path: str, diag: _Diag) -> Optional[str]:
-    if not _is_scalar(node):
-        diag.add(node, f"{path} must be a string")
-        return None
-    return node.value
-
-
-_SCALARS = {float: _to_float, int: _to_int, str: _to_str}
-# a non-scalar field's reader: (node, path, diag) -> value, or None after a diagnostic
+# a field's reader: (node, path, diag) -> value, or None after a diagnostic
 _Reader = Callable[[object, str, _Diag], object]
+
+
+def _scalar_reader(kind: str, convert: Callable[[str], object]) -> _Reader:
+    """Reader of a scalar node's text through ``convert``; a node that is no
+    scalar, or text that ``convert`` rejects, "must be ``kind``"."""
+
+    def read(node, path: str, diag: _Diag):
+        if not isinstance(node, yaml.ScalarNode):
+            diag.add(node, f"{path} must be {kind}")
+            return None
+        try:
+            return convert(node.value)
+        except ValueError:
+            diag.add(node, f"{path} must be {kind}, got {node.value!r}")
+            return None
+
+    return read
+
+
+def _yaml_float(text: str) -> float:
+    # YAML spells the non-finite floats .inf, -.inf and .nan
+    text = text.replace("_", "").lower()
+    return float(text.replace(".inf", "inf").replace(".nan", "nan"))
+
+
+_to_float = _scalar_reader("a number", _yaml_float)
+_to_int = _scalar_reader("an integer", lambda text: int(text.replace("_", "")))
+_to_str = _scalar_reader("a string", str)
+_SCALARS = {float: _to_float, int: _to_int, str: _to_str}
 
 
 def _read_record(
@@ -189,7 +175,7 @@ def _read_record(
     ``node`` is no mapping, a required key is missing or rejected, or two
     bounds cross.
     """
-    if not _is_map(node):
+    if not isinstance(node, yaml.MappingNode):
         diag.add(node, f"{path} must be a mapping")
         return None
     items = _map_items(node, diag)
@@ -226,7 +212,7 @@ def _read_list(
     node, section: str, kinds: Mapping[str, object], required: Sequence[str], diag: _Diag
 ) -> List[Dict[str, object]]:
     """The records of a non-empty list that can be built, in order."""
-    if not _is_seq(node) or not node.value:
+    if not isinstance(node, yaml.SequenceNode) or not node.value:
         diag.add(node, f"{section} must be a non-empty list")
         return []
     records = (
@@ -256,7 +242,7 @@ def _new_id(what: str, declared: List[str]) -> _Reader:
 
 
 def _to_prob_model(node, path: str, diag: _Diag) -> Optional[AttackProbabilityModel]:
-    if not _is_map(node):
+    if not isinstance(node, yaml.MappingNode):
         diag.add(node, f"{path} must be a mapping with family and baseline")
         return None
     values = _read_record(
@@ -293,9 +279,9 @@ def _parse_edges(
     source_ids: Sequence[str],
     diag: _Diag,
 ) -> Tuple[bool, List[Tuple[str, str]]]:
-    if _is_scalar(node) and node.value == "complete":
+    if isinstance(node, yaml.ScalarNode) and node.value == "complete":
         return True, [(x, y) for x in target_ids for y in source_ids]
-    if not _is_seq(node):
+    if not isinstance(node, yaml.SequenceNode):
         diag.add(node, 'edges must be "complete" or a list of [target, source]')
         return False, []
     declared_targets, declared_sources = set(target_ids), set(source_ids)
@@ -303,7 +289,7 @@ def _parse_edges(
     seen = set()
     for k, item in enumerate(node.value):
         path = f"edges[{k}]"
-        if not _is_seq(item) or len(item.value) != 2:
+        if not isinstance(item, yaml.SequenceNode) or len(item.value) != 2:
             diag.add(item, f"{path} must be a [target, source] pair")
             continue
         x = _to_str(item.value[0], f"{path}[0]", diag)
@@ -347,7 +333,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         line = text.count("\n", 0, exc.position) + 1
         problem = f"character #x{exc.character:04x} is not allowed"
         raise ScenarioError([f"line {line}: {problem}"]) from exc
-    if root is None or not _is_map(root):
+    if not isinstance(root, yaml.MappingNode):
         raise ScenarioError(["line 1: scenario must be a YAML mapping"])
 
     diag = _Diag()
@@ -471,11 +457,17 @@ def build_case_study_scenario() -> ScenarioFile:
 
 
 # --------------------------------------------------------------------------
-# CSV serialization (9 significant digits, deterministic bytes)
+# reports and CSV files: 9 significant digits, deterministic bytes
 
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
+
+
+def _write_lines(destination, lines: Sequence[str]) -> None:
+    """Write ``lines``, each ended by a newline, to the file ``destination``."""
+    with open(destination, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(result: SweepResult, destination) -> None:
@@ -485,26 +477,14 @@ def write_sweep_csv(result: SweepResult, destination) -> None:
         + ["true_loss", "perceived_loss", "active_targets"]
     )
     lines = [",".join(header)]
-    for sample in result.samples:
-        row = (
-            [_fmt(sample.param_value)]
-            + [_fmt(a) for a in sample.aggregates]
-            + [
-                _fmt(sample.true_loss),
-                _fmt(sample.perceived_loss),
-                str(sample.active_targets),
-            ]
-        )
-        lines.append(",".join(row))
-    with open(destination, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    for s in result.samples:
+        values = (s.param_value, *s.aggregates, s.true_loss, s.perceived_loss)
+        lines.append(",".join([*map(_fmt, values), str(s.active_targets)]))
+    _write_lines(destination, lines)
 
 
 def write_trace_csv(report: SolveReport, destination) -> None:
-    lines = ["iteration,primal_residual,objective"]
-    for record in report.residual_trace:
-        lines.append(
-            f"{record.iteration},{_fmt(record.primal_residual)},{_fmt(record.objective)}"
-        )
-    with open(destination, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(destination, ["iteration,primal_residual,objective"] + [
+        f"{r.iteration},{_fmt(r.primal_residual)},{_fmt(r.objective)}"
+        for r in report.residual_trace
+    ])

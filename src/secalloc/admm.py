@@ -290,13 +290,14 @@ def run_admm(
 ) -> SolveReport:
     """Run the four-step consensus iteration until both sides agree.
 
-    Terminates when the worst per-edge disagreement |pi^t - pi^s| falls
-    below ``primal_tolerance`` and the consensus plan has stopped moving
-    by more than ``dual_tolerance``. The penalty starts at ``config.eta``;
-    in the first ``_BALANCE_ROUNDS`` rounds it doubles while that
-    disagreement (the primal residual) exceeds ``_BALANCE_RATIO`` times
-    eta times the consensus move (the dual residual) and halves in the
-    opposite case (Boyd et al. 2011, section 3.4.1), and then stays fixed.
+    Terminates when the worst per-edge disagreement |pi^t - pi^s| (the
+    primal residual) falls below ``primal_tolerance`` and eta times the
+    worst per-edge consensus move (the dual residual, Boyd et al. 2011,
+    section 3.3) below ``dual_tolerance``. The penalty starts at
+    ``config.eta``; in the first ``_BALANCE_ROUNDS`` rounds it doubles
+    while the primal residual exceeds ``_BALANCE_RATIO`` times the dual
+    residual and halves in the opposite case (section 3.4.1), and then
+    stays fixed.
     """
     _check_op_b_feasible(network)
     agents: List[Union[TargetAgent, SourceAgent]] = [
@@ -333,7 +334,7 @@ def run_admm(
         drift = float(np.abs(consensus - previous).max())
         perceived, utility = _loss_and_utility(network, consensus, behavior.gamma)
         trace.append(TraceRecord(iteration, primal, perceived - utility))
-        if primal <= config.primal_tolerance and drift <= config.dual_tolerance:
+        if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:
             # the consensus meets each bound only to within the tolerances
             return _report(network, behavior, project(consensus), iteration, trace)
         if iteration <= _BALANCE_ROUNDS:

@@ -203,9 +203,18 @@ def _pgd(
     projected-gradient norm, falls below ``gradient_tolerance``, or when the
     objective changes by at most ``objective_tolerance`` for 10 consecutive
     iterations.
+
+    The loop runs on the problem divided by scale = min(1, max|g|) at the
+    projected start (Nocedal & Wright, Numerical Optimization, section 2.2),
+    so the tolerances and the step clamp hold at large budgets, where every
+    marginal is tiny; scale is 1 where they all underflow to 0. g is the
+    scaled gradient; objective values stay unscaled for the trace, so the
+    Armijo and stall tests multiply their scaled terms back by scale.
     """
     x = project(np.asarray(x0, dtype=float))
     fx, g = objective(x), gradient(x)
+    scale = min(1.0, float(np.abs(g).max())) or 1.0
+    g = g / scale
     alpha = config.step_size
     trace: List[TraceRecord] = []
     stall = 0
@@ -216,7 +225,7 @@ def _pgd(
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, True
-        slope, lam = float(g @ d), 1.0
+        slope, lam = scale * float(g @ d), 1.0
         x_new, f_new = x, fx
         while lam >= _MIN_STEP:
             # x + lam d lies between x and p, so it is feasible by convexity
@@ -226,13 +235,13 @@ def _pgd(
                 x_new, f_new = candidate, f_candidate
                 break
             lam *= 0.5
-        if abs(fx - f_new) <= config.objective_tolerance:
+        if abs(fx - f_new) <= config.objective_tolerance * scale:
             stall += 1
             if stall >= _STALL_ITERATIONS:
                 return x_new, iteration, trace, True
         else:
             stall = 0
-        g_new = gradient(x_new)
+        g_new = gradient(x_new) / scale
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         alpha = min(max(sy / float(y @ y), _MIN_ALPHA), _MAX_ALPHA) if sy > 0 else config.step_size

@@ -31,7 +31,6 @@ from .model import (
     TraceRecord,
     TransportNetwork,
     _MAX_ROOT_STEPS,
-    _ROOT_RTOL,
     _loss_and_utility,
     check_fields,
     marginal_perceived_cost,
@@ -62,6 +61,9 @@ Edge = Tuple[str, str]
 # stops changing keeps ADMM's convergence guarantee (He, Yang & Wang 2000)
 _BALANCE_ROUNDS = 100
 _BALANCE_RATIO = 10.0
+
+# the target solve's Newton stops on a step below this fraction of the total
+_ROOT_RTOL = 1e-15
 
 
 @dataclass(frozen=True)

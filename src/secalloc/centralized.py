@@ -71,14 +71,15 @@ class SolverConfig:
 def _threshold(v: np.ndarray, total: float) -> float:
     """The theta for which max(v - theta, 0) is the Euclidean projection of v
     onto {x >= 0, sum x = total}, sort-based; a zero total takes the smallest
-    theta that clears v, which is finite."""
+    theta that clears v, which is finite. Where rounding leaves no index
+    with u > theta, the last index is taken, as in ``_row_thresholds``."""
     if total < 0:
         raise ValueError("total must be >= 0")
     if total == 0:
         return float(v.max())
     u = np.sort(v)[::-1]
     thetas = (np.cumsum(u) - total) / np.arange(1, v.size + 1)
-    return float(thetas[np.nonzero(u - thetas > 0)[0][-1]])
+    return float(thetas[v.size - 1 - np.argmax((u - thetas > 0)[::-1])])
 
 
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:

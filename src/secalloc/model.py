@@ -47,8 +47,7 @@ __all__ = [
     "check_fields",
 ]
 
-# the shared scalar root-find stops at this relative bracket width
-_ROOT_RTOL = 1e-15
+# cap on the steps of every Newton solve (waterfill, the ADMM target solve)
 _MAX_ROOT_STEPS = 200
 
 
@@ -548,53 +547,13 @@ def marginal_perceived_cost(
     tending to 0 as t grows: additional resources always help, but less
     and less.
 
-    Raises DomainError at a negative total and where p(t) underflows to 0.
-    The array form, EdgeIndex.marginals, underflows to 0.0 instead.
+    Raises DomainError at a negative total and where the marginal itself
+    underflows to 0.0 (p(t) may underflow well before it does). The array
+    form, EdgeIndex.marginals, underflows to 0.0 instead.
     """
     model = target.prob_model
     big_l = model._checked_neg_log(total_received)
-    if math.exp(-big_l) == 0.0:
-        raise DomainError(f"marginal undefined at p=0.0 (total_received={total_received})")
-    return -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
-
-
-def _increasing_root(f: Callable[[float], float], f_zero: float, cap: float) -> float:
-    """Root on [0, cap] of an increasing f with f(0) = f_zero <= 0 <= f(cap).
-
-    The bracket starts at [0, 1] and its upper end doubles, never past
-    ``cap``, until f changes sign; Illinois regula falsi (bisection when a
-    secant step leaves the bracket) then narrows it to a relative width of
-    ``_ROOT_RTOL``. f is only evaluated inside [0, cap].
-    """
-    lo, f_lo = 0.0, f_zero
-    if f_lo >= 0.0:
-        return lo
-    hi = min(1.0, cap)
-    f_hi = f(hi)
-    while f_hi < 0.0 and hi < cap:
-        lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, cap)
-        f_hi = f(hi)
-    if f_hi <= 0.0:
-        return hi
-    side = 0
-    for _ in range(_MAX_ROOT_STEPS):
-        if hi - lo <= _ROOT_RTOL * hi:
-            break
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid < 0.0:
-            lo, f_lo = mid, f_mid
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = mid, f_mid
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
+    marginal = -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
+    if marginal == 0.0:
+        raise DomainError(f"marginal underflows to 0.0 at total_received={total_received}")
+    return marginal

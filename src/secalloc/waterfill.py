@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .model import (
     BehavioralModel,
     TargetSpec,
     TransportNetwork,
-    _increasing_root,
     marginal_perceived_cost,
     psi,
     psi_slope,
@@ -47,11 +46,12 @@ __all__ = [
 ]
 
 
-def _amounts_at_level(
+def _level_inverse(
     model: AttackProbabilityModel, gamma: float, level: np.ndarray
-) -> np.ndarray:
-    """Amounts t with psi(L(t)) = level, elementwise, by Newton from L(0)
-    until no element moves up; exactly 0.0 where psi(L(0)) <= level."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """L with psi(L) = level, elementwise, by Newton from L(0) until no
+    element moves up, and the amounts t with L(t) = L: exactly L(0) and
+    0.0 where psi(L(0)) <= level."""
     start, k = model.neg_log_probability(0.0), model.log_rate_slope
     big_l = np.full(np.shape(level), start)
     for _ in range(_MAX_ROOT_STEPS):
@@ -60,7 +60,7 @@ def _amounts_at_level(
         if not moved.any():
             break
         big_l = np.where(moved, step, big_l)
-    return np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
+    return big_l, np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
 
 
 def _threshold_matrix(
@@ -73,7 +73,7 @@ def _threshold_matrix(
     col_psi = psi(l_zero, gamma, cols[0].prob_model.log_rate_slope)
     col_level = np.log([t.loss_value for t in cols]) + col_psi
     row_log_u = np.log([t.loss_value for t in rows])
-    return _amounts_at_level(rows[0].prob_model, gamma, col_level - row_log_u[:, None])
+    return _level_inverse(rows[0].prob_model, gamma, col_level - row_log_u[:, None])[1]
 
 
 def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
@@ -143,26 +143,37 @@ def _require_analytical(network: TransportNetwork) -> List[TargetSpec]:
     return ordered
 
 
-def _aggregates_at_budget(
-    targets: Sequence[TargetSpec], gamma: float, budget: float
-) -> List[float]:
-    """Common-water-level aggregates exhausting the given budget.
+def _water_profiles(
+    targets: Sequence[TargetSpec], gamma: float, budgets: np.ndarray
+) -> np.ndarray:
+    """The (targets, budgets) amounts at the common water level that spends
+    each budget.
 
-    The top target's amount t1 in [0, budget] sets the level,
-    psi(L(t1)) + log U_1; every other target takes the amount where its
-    own marginal meets that level. The spend grows with t1, so t1 is the
-    root of spend - budget.
+    At level lam every target takes the amount with psi(L) + log U = lam.
+    The spend is convex and decreasing in lam (each amount is a convex,
+    nondecreasing function of a convex, decreasing psi^-1, clipped at 0),
+    so Newton's method from the level where the top target alone takes the
+    budget, where the spend is at least the budget, rises to the root
+    without passing it, and a column stops once its spend no longer falls.
+    The top target then takes what rounding left over.
     """
-    model = targets[0].prob_model
-    log_u = np.log([t.loss_value for t in targets])
-    offsets = log_u[0] - log_u[1:]
-
-    def others(top: float) -> np.ndarray:
-        level = psi(model.neg_log_probability(top), gamma, model.log_rate_slope)
-        return _amounts_at_level(model, gamma, level + offsets)
-
-    top = _increasing_root(lambda t1: t1 + float(others(t1).sum()) - budget, -budget, budget)
-    return [top, *others(top).tolist()]
+    model, k = targets[0].prob_model, targets[0].prob_model.log_rate_slope
+    log_u = np.log([t.loss_value for t in targets])[:, None]
+    level = psi(model.neg_log_probability(budgets), gamma, k) + log_u[0]
+    last_excess = np.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        big_l, amounts = _level_inverse(model, gamma, level - log_u)
+        excess = amounts.sum(axis=0) - budgets
+        # d spend / d lam: dt/dL = exp(-k L) over dpsi/dL, on the funded targets
+        slope = np.where(amounts > 0.0, np.exp(-k * big_l) / psi_slope(big_l, gamma, k), 0.0)
+        step = level - excess / slope.sum(axis=0)
+        # a level finer than the amounts resolve leaves the spend unchanged
+        moved = (step > level) & (excess < last_excess)
+        if not moved.any():
+            break
+        level, last_excess = np.where(moved, step, level), excess
+    amounts[0] = budgets - amounts[1:].sum(axis=0)
+    return amounts
 
 
 def build_threshold_table(
@@ -196,26 +207,23 @@ def waterfill_allocate(
     is spent.
     """
     ordered = _require_analytical(network)
-    budget = network.total_supply()
     table = build_threshold_table(network, behavior)
-
-    amounts: Dict[Tuple[str, str], float] = {}
-    previous = [0.0] * len(ordered)
-    spent = 0.0
-    for source in network.sources:
-        spent = min(spent + source.supply_upper, budget)
-        current = _aggregates_at_budget(ordered, behavior.gamma, spent)
-        for t, before, after in zip(ordered, previous, current):
-            amounts[(t.id, source.id)] = max(after - before, 0.0)
-        previous = current
-
-    # the running spend ends bit-equal to the budget (the same additions
-    # in the same order), so the last profile is the full-budget one
+    budgets = np.cumsum([s.supply_upper for s in network.sources])
+    profiles = _water_profiles(ordered, behavior.gamma, budgets)
+    columns = np.maximum(np.diff(profiles, axis=1, prepend=0.0), 0.0).T.tolist()
+    # cumsum adds in total_supply()'s order, so the last budget is bit-equal
+    # to it and the last profile is the full-budget one
     return WaterfillTrace(
         activation_order=tuple(t.id for t in ordered),
         breakpoints=tuple(_breakpoints(ordered, table)),
-        final_aggregates={t.id: agg for t, agg in zip(ordered, previous)},
-        per_source_plan=AllocationPlan(amounts),
+        final_aggregates={t.id: agg for t, agg in zip(ordered, profiles[:, -1].tolist())},
+        per_source_plan=AllocationPlan(
+            {
+                (t.id, s.id): amount
+                for s, column in zip(network.sources, columns)
+                for t, amount in zip(ordered, column)
+            }
+        ),
         thresholds=table,
     )
 

@@ -318,13 +318,75 @@ def _parse_edges(
     return False, edges
 
 
+# a valid scenario nests 4 collections deep; the composer recurses once per
+# level, so a deeper file is rejected before it can exhaust Python's stack
+MAX_NESTING = 64
+
+
+class _CappedComposer(yaml.composer.Composer):
+    """PyYAML's Python composer, shared by both parsers, rejecting the first
+    collection nested deeper than ``MAX_NESTING``."""
+
+    _depth = 0
+
+    def _enter(self) -> None:
+        if self._depth == MAX_NESTING:
+            problem = f"collections nest deeper than {MAX_NESTING} levels"
+            raise yaml.composer.ComposerError(None, None, problem, self.peek_event().start_mark)
+        self._depth += 1
+
+    def compose_sequence_node(self, anchor):
+        self._enter()
+        node = super().compose_sequence_node(anchor)
+        self._depth -= 1
+        return node
+
+    def compose_mapping_node(self, anchor):
+        self._enter()
+        node = super().compose_mapping_node(anchor)
+        self._depth -= 1
+        return node
+
+
+class _PureLoader(_CappedComposer, yaml.SafeLoader):
+    """The pure-Python reader: every diagnostic is its message."""
+
+
+if hasattr(yaml, "CSafeLoader"):
+
+    class _LibyamlLoader(_CappedComposer, yaml.CSafeLoader):
+        """libyaml's parser feeding the Python composer (libyaml's own
+        composer recurses on the C stack and crashes on deep nesting)."""
+
+        def __init__(self, stream) -> None:
+            yaml.CSafeLoader.__init__(self, stream)
+            _CappedComposer.__init__(self)
+
+else:
+    _LibyamlLoader = None
+
+
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and fully validate a scenario document.
 
     Raises ScenarioError carrying one line-anchored message per violation.
+    Files are read with libyaml's parser where PyYAML has it; a file it
+    rejects is read again by the pure reader, whose verdict and messages
+    stand, so libyaml only adds files that the pure reader cannot read.
     """
+    if _LibyamlLoader is not None:
+        try:
+            return _parse_with(text, _LibyamlLoader)
+        except (ScenarioError, ValueError):
+            # rejected, or unreadable to libyaml (it encodes the text to
+            # UTF-8, which a lone surrogate fails): the pure reader decides
+            pass
+    return _parse_with(text, _PureLoader)
+
+
+def _parse_with(text: str, loader) -> ScenarioFile:
     try:
-        root = yaml.compose(text)
+        root = yaml.compose(text, Loader=loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}: " if mark is not None else ""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .centralized import _bounds, _check_op_b_feasible, _make_projector, _report
 from .centralized import project_box_sum, project_capped_sum
-from .errors import ConvergenceError, MissingMessageError
+from .errors import ConvergenceError, DomainError, MissingMessageError
 from .model import (
     BehavioralModel,
     SolveReport,
@@ -285,6 +285,15 @@ def _initial_consensus(network: TransportNetwork) -> np.ndarray:
     return seed
 
 
+def _out_of_range(iteration: int, eta: float, why: str, trace) -> ConvergenceError:
+    """The error that ends a run whose iterates left the float range: at a
+    tiny penalty, alpha / eta overflows or a target's total runs to where
+    its marginal underflows."""
+    return ConvergenceError(
+        f"round {iteration} at eta {eta:g} left the float range ({why})", trace=trace
+    )
+
+
 def run_admm(
     network: TransportNetwork,
     behavior: BehavioralModel,
@@ -299,7 +308,10 @@ def run_admm(
     ``config.eta``; in the first ``_BALANCE_ROUNDS`` rounds it doubles
     while the primal residual exceeds ``_BALANCE_RATIO`` times the dual
     residual and halves in the opposite case (section 3.4.1), and then
-    stays fixed.
+    stays fixed. A starting penalty far below the problem's scale sends the
+    iterates out of the float range: the round where an agent's solve
+    raises DomainError, or where the consensus is not finite, raises
+    ConvergenceError.
     """
     _check_op_b_feasible(network)
     agents: List[Union[TargetAgent, SourceAgent]] = [
@@ -323,11 +335,16 @@ def run_admm(
     eta = config.eta
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
-        for agent in agents:
-            agent.solve(eta)
+        try:
+            for agent in agents:
+                agent.solve(eta)
+        except DomainError as exc:
+            raise _out_of_range(iteration, eta, str(exc), trace) from exc
         previous = consensus
         edge_states = message_bus_round(agents, edge_states, eta)
         consensus = np.array([edge_states[e].consensus for e in index.edges])
+        if not np.isfinite(consensus).all():
+            raise _out_of_range(iteration, eta, "the consensus is not finite", trace)
 
         primal = max(
             abs(s.last_target_proposal - s.last_source_proposal)

@@ -11,6 +11,7 @@ preconditions, 4 infeasible constraints, 5 non-convergence, 6 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, replace
 from typing import List, Optional, Sequence
@@ -271,9 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser tree, built on first use: parse_args keeps
+    no state between calls, and a build takes about 1 ms."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -15,7 +15,7 @@ round-k state, then one barrier applies the consensus and dual updates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
@@ -74,7 +74,7 @@ class AdmmConfig:
     dual_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        check_fields("AdmmConfig", asdict(self))
+        check_fields("AdmmConfig", self)
 
 
 @dataclass(frozen=True)

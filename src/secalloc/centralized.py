@@ -17,7 +17,7 @@ source and target multipliers are updated in turn until they settle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -52,6 +52,8 @@ __all__ = [
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
 _MIN_ALPHA, _MAX_ALPHA = 1e-10, 1e2  # clamp on the spectral step
+_MAX_SCALED_GRADIENT = 1e3  # cap on the largest scaled gradient entry at the start
+_FEASIBLE_RTOL = 1e-9  # largest violation of a returned plan, relative to max(1, supply)
 _BB_KAPPA = 0.7  # take BB1 where BB2 / BB1 = cos^2(s, y) falls below this
 _STALL_ITERATIONS = 10
 _SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
@@ -66,7 +68,7 @@ class SolverConfig:
     objective_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        check_fields("SolverConfig", asdict(self))
+        check_fields("SolverConfig", self)
 
 
 def _threshold(v: np.ndarray, total: float) -> float:
@@ -223,13 +225,16 @@ def _pgd(
     The loop runs on the problem divided by scale = min(1, max|g|) at the
     projected start (Nocedal & Wright, Numerical Optimization, section 2.2),
     so the tolerances and the step clamp hold at large budgets, where every
-    marginal is tiny; scale is 1 where they all underflow to 0. g is the
-    scaled gradient; objective values stay unscaled for the trace, so the
-    Armijo and stall tests multiply their scaled terms back by scale.
+    marginal is tiny; scale is 1 where they all underflow to 0, and at least
+    max|g| / 1e3 at large loss values, where x - alpha g otherwise lies so
+    far out that its projection loses the budgets to rounding (U = 1e17).
+    g is the scaled gradient; objective values stay unscaled for the trace,
+    so the Armijo and stall tests multiply their scaled terms back by scale.
     """
     x = project(np.asarray(x0, dtype=float))
     fx, g = objective(x), gradient(x)
-    scale = min(1.0, float(np.abs(g).max())) or 1.0
+    g_max = float(np.abs(g).max())
+    scale = max(min(1.0, g_max), g_max / _MAX_SCALED_GRADIENT) or 1.0
     g = g / scale
     alpha = config.step_size
     trace: List[TraceRecord] = []
@@ -298,6 +303,10 @@ def _solve(
             f"{mode} solve did not converge in {config.max_iterations} iterations",
             trace=trace,
         )
+    # every iterate is feasible up to rounding; a plan that rounding moved out is not returned
+    violation = _violation(network, x, mode)
+    if violation > _FEASIBLE_RTOL * max(1.0, network.total_supply()):
+        raise ConvergenceError(f"{mode} solve left the feasible set by {violation:g}", trace=trace)
     return _report(network, behavior, x, iterations, trace)
 
 
@@ -365,7 +374,10 @@ def feasibility_violation(
     network: TransportNetwork, plan: AllocationPlan, mode: str
 ) -> float:
     """Worst constraint violation of a plan under the mode's bounds."""
-    x = network.edge_index.to_vector(plan)
+    return _violation(network, network.edge_index.to_vector(plan), mode)
+
+
+def _violation(network: TransportNetwork, x: np.ndarray, mode: str) -> float:
     sources, targets = _bounds(network, mode)
     worst = float(np.maximum(-x, 0.0).max(initial=0.0))
     for positions, lower, upper in sources + targets:

@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +55,14 @@ def _config(config_cls, overrides, args):
     return config_cls(**values)
 
 
+def _edge_lines(network: TransportNetwork, amounts: Mapping[Tuple[str, str], float]) -> List[str]:
+    return ["plan:", *(f"  {x} {y} {_fmt(amounts[(x, y)])}" for x, y in network.edges)]
+
+
 def _plan_lines(network: TransportNetwork, report: SolveReport) -> List[str]:
-    lines = ["plan:"]
-    for edge in network.edges:
-        lines.append(f"  {edge[0]} {edge[1]} {_fmt(report.plan.amounts[edge])}")
-    lines.append("aggregates:")
-    for t, total in zip(network.targets, _plan_totals(network, report.plan)):
-        lines.append(f"  {t.id} {_fmt(total)}")
-    return lines
+    totals = zip(network.targets, _plan_totals(network, report.plan))
+    aggregates = [f"  {t.id} {_fmt(total)}" for t, total in totals]
+    return _edge_lines(network, report.plan.amounts) + ["aggregates:", *aggregates]
 
 
 def _report_header(mode: str, report: SolveReport) -> List[str]:
@@ -97,19 +97,16 @@ def _cmd_waterfill(args) -> int:
     scenario = _load_scenario(args.scenario)
     network, behavior = scenario.network, scenario.behavior
     trace = waterfill.waterfill_allocate(network, behavior)
-    lines = ["thresholds:"]
-    for (i, j), value in trace.thresholds.entries.items():
-        lines.append(f"  {i} {j} {_fmt(value)}")
-    lines.append("breakpoints:")
-    for tid, point in zip(trace.activation_order, trace.breakpoints):
-        lines.append(f"  {tid} {_fmt(point)}")
-    lines.append("aggregates:")
-    for tid in trace.activation_order:
-        lines.append(f"  {tid} {_fmt(trace.final_aggregates[tid])}")
-    lines.append("plan:")
-    for edge in network.edges:
-        lines.append(f"  {edge[0]} {edge[1]} {_fmt(trace.per_source_plan.amounts[edge])}")
-    _write_lines(args.output, lines)
+    order = trace.activation_order
+    lines = [
+        "thresholds:",
+        *(f"  {i} {j} {_fmt(value)}" for (i, j), value in trace.thresholds.entries.items()),
+        "breakpoints:",
+        *(f"  {tid} {_fmt(point)}" for tid, point in zip(order, trace.breakpoints)),
+        "aggregates:",
+        *(f"  {tid} {_fmt(trace.final_aggregates[tid])}" for tid in order),
+    ]
+    _write_lines(args.output, lines + _edge_lines(network, trace.per_source_plan.amounts))
     print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -14,10 +14,14 @@ function of its inputs, so concurrent evaluation needs no locking.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -112,16 +116,29 @@ def bound_problems(values: Mapping[str, object]) -> List[str]:
     ]
 
 
-def check_fields(owner: str, values: Mapping[str, object]) -> None:
-    """Raise DomainError, naming ``owner``, at the first field of ``values``
-    that ``FIELD_RULES`` rejects, else at the first pair of crossed bounds.
-    A name ``field.key`` (one ``utility_coeffs`` entry) takes the rules of
-    ``field``.
+@functools.cache
+def _ruled_fields(cls) -> Tuple[Tuple[str, bool], ...]:
+    """(name, is a mapping) of each field of ``cls`` that FIELD_RULES checks."""
+    types = get_type_hints(cls)
+    ruled = [name for name in types if name in FIELD_RULES or name == "baseline"]
+    return tuple((name, get_origin(types[name]) is abc.Mapping) for name in ruled)
+
+
+def check_fields(owner: str, record) -> None:
+    """Raise DomainError, naming ``owner``, at the first field of the
+    dataclass ``record`` that ``FIELD_RULES`` rejects, else at the first
+    pair of crossed bounds. A mapping field's entries are checked one at a
+    time, each named ``field.key``.
     """
-    for name, value in values.items():
-        problem = field_problem(name.split(".")[0], value, values.get("family"))
-        if problem:
-            raise DomainError(f"{owner}: {name} {problem}, got {value!r}")
+    ruled = _ruled_fields(type(record))
+    values = {name: getattr(record, name) for name, _ in ruled}
+    for name, is_mapping in ruled:
+        value = values[name]
+        entries = ((f"{name}.{k}", v) for k, v in value.items()) if is_mapping else [(name, value)]
+        for label, value in entries:
+            problem = field_problem(name, value, values.get("family"))
+            if problem:
+                raise DomainError(f"{owner}: {label} {problem}, got {value!r}")
     for phrase in bound_problems(values):
         raise DomainError(f"{owner}: {phrase}")
 
@@ -181,7 +198,7 @@ class AttackProbabilityModel:
     baseline: float
 
     def __post_init__(self) -> None:
-        check_fields("prob_model", {"family": self.family, "baseline": self.baseline})
+        check_fields("prob_model", self)
 
     @classmethod
     def exponential(cls, baseline: float) -> "AttackProbabilityModel":
@@ -247,7 +264,7 @@ class BehavioralModel:
     gamma: float
 
     def __post_init__(self) -> None:
-        check_fields("behavior", {"gamma": self.gamma})
+        check_fields("behavior", self)
 
 
 @dataclass(frozen=True)
@@ -256,19 +273,12 @@ class TargetSpec:
 
     id: str
     loss_value: float
-    prob_model: AttackProbabilityModel
+    prob_model: AttackProbabilityModel = AttackProbabilityModel.exponential(1.0)
     demand_lower: float = 0.0
     demand_upper: float = math.inf
 
     def __post_init__(self) -> None:
-        check_fields(
-            f"target {self.id}",
-            {
-                "loss_value": self.loss_value,
-                "demand_lower": self.demand_lower,
-                "demand_upper": self.demand_upper,
-            },
-        )
+        check_fields(f"target {self.id}", self)
 
 
 @dataclass(frozen=True)
@@ -287,15 +297,7 @@ class SourceSpec:
     utility_coeffs: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(
-            f"source {self.id}",
-            {
-                "supply_upper": self.supply_upper,
-                "supply_lower": self.supply_lower,
-                "weight_tau": self.weight_tau,
-                **{f"utility_coeffs.{t}": c for t, c in self.utility_coeffs.items()},
-            },
-        )
+        check_fields(f"source {self.id}", self)
 
     def utility_slope(self, target_id: str) -> float:
         return self.utility_coeffs.get(target_id, 1.0)
@@ -547,13 +549,18 @@ def marginal_perceived_cost(
     tending to 0 as t grows: additional resources always help, but less
     and less.
 
-    Raises DomainError at a negative total and where the marginal itself
-    underflows to 0.0 (p(t) may underflow well before it does). The array
-    form, EdgeIndex.marginals, underflows to 0.0 instead.
+    Raises DomainError at a negative total, where the marginal itself
+    underflows to 0.0 (p(t) may underflow well before it does), and where
+    it overflows (near a subnormal L, as with a baseline of 5e-324). The
+    array form, EdgeIndex.marginals, underflows to 0.0 instead.
     """
     model = target.prob_model
     big_l = model._checked_neg_log(total_received)
-    marginal = -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
-    if marginal == 0.0:
-        raise DomainError(f"marginal underflows to 0.0 at total_received={total_received}")
+    try:
+        marginal = -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
+    except OverflowError:
+        marginal = -math.inf
+    if not -math.inf < marginal < 0.0:
+        problem = "overflows" if marginal else "underflows to 0.0"
+        raise DomainError(f"marginal {problem} at total_received={total_received}")
     return marginal

@@ -23,14 +23,16 @@ commented example):
     admm:                    # optional overrides for the consensus solver
       eta: 1.0
 
-Validation collects *every* violation with its line number before
-raising, so a broken file can be fixed in one pass.
+A record's keys are the fields of its dataclass, and those with no
+default are required. Validation collects *every* violation with its
+line number before raising, so a broken file can be fixed in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import functools
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
 
 import yaml
 
@@ -98,16 +100,12 @@ class SweepResult:
 # parsing: walk the composed YAML node tree so every message carries a line
 
 
-def _line(node) -> int:
-    return node.start_mark.line + 1
-
-
 class _Diag:
     def __init__(self) -> None:
         self.messages: List[str] = []
 
     def add(self, node, message: str) -> None:
-        self.messages.append(f"line {_line(node)}: {message}")
+        self.messages.append(f"line {node.start_mark.line + 1}: {message}")
 
 
 def _map_items(node, diag: _Diag) -> Dict[str, object]:
@@ -157,11 +155,19 @@ _to_str = _scalar_reader("a string", str)
 _SCALARS = {float: _to_float, int: _to_int, str: _to_str}
 
 
+@functools.cache
+def _schema(cls) -> Tuple[Dict[str, object], Tuple[str, ...]]:
+    """Each field of the dataclass ``cls`` with its type, in declaration
+    order, and the fields with no default, which a record requires."""
+    no_default = (f for f in fields(cls) if f.default is f.default_factory is MISSING)
+    return get_type_hints(cls), tuple(f.name for f in no_default)
+
+
 def _read_record(
     node,
     path: str,
-    kinds: Mapping[str, object],
     diag: _Diag,
+    kinds: Mapping[str, object],
     required: Sequence[str] = (),
     rule: Optional[str] = None,
     unknown: str = "unknown key {path}.{key}",
@@ -203,20 +209,23 @@ def _read_record(
     crossed = bound_problems(accepted)
     for phrase in crossed:
         diag.add(node, f"{path}: {phrase}")
-    if crossed or not accepted.keys() >= set(required):
-        return None
-    return accepted
+    return None if crossed or not accepted.keys() >= set(required) else accepted
 
 
-def _read_list(
-    node, section: str, kinds: Mapping[str, object], required: Sequence[str], diag: _Diag
-) -> List[Dict[str, object]]:
-    """The records of a non-empty list that can be built, in order."""
+def _read_list(items, section: str, diag: _Diag, cls, **readers: _Reader) -> List[dict]:
+    """The records of ``cls`` that can be built from the non-empty list
+    ``items[section]``, in order, [] without it; ``readers`` read the
+    fields that are not scalars."""
+    node = items.get(section)
+    if node is None:
+        return []
     if not isinstance(node, yaml.SequenceNode) or not node.value:
         diag.add(node, f"{section} must be a non-empty list")
         return []
+    kinds, required = _schema(cls)
+    kinds = {**kinds, **readers}
     records = (
-        _read_record(item, f"{section}[{k}]", kinds, diag, required)
+        _read_record(item, f"{section}[{k}]", diag, kinds, required)
         for k, item in enumerate(node.value)
     )
     return [r for r in records if r is not None]
@@ -242,12 +251,11 @@ def _new_id(what: str, declared: List[str]) -> _Reader:
 
 
 def _to_prob_model(node, path: str, diag: _Diag) -> Optional[AttackProbabilityModel]:
+    kinds, required = _schema(AttackProbabilityModel)
     if not isinstance(node, yaml.MappingNode):
-        diag.add(node, f"{path} must be a mapping with family and baseline")
+        diag.add(node, f"{path} must be a mapping with {' and '.join(required)}")
         return None
-    values = _read_record(
-        node, path, {"family": str, "baseline": float}, diag, ("family", "baseline")
-    )
+    values = _read_record(node, path, diag, kinds, required)
     return None if values is None else AttackProbabilityModel(**values)
 
 
@@ -255,22 +263,9 @@ def _coeffs_reader(target_ids: Sequence[str]) -> _Reader:
     """Reader of ``utility_coeffs``: a slope for each of some declared targets."""
     kinds = dict.fromkeys(target_ids, float)
     return lambda node, path, diag: _read_record(
-        node, path, kinds, diag, rule="utility_coeffs",
+        node, path, diag, kinds, rule="utility_coeffs",
         unknown="{path} references unknown target {key!r}",
     )
-
-
-_TARGET_KINDS = {
-    "loss_value": float,
-    "prob_model": _to_prob_model,
-    "demand_lower": float,
-    "demand_upper": float,
-}
-_DEFAULT_PROB_MODEL = AttackProbabilityModel.exponential(1.0)
-_SOURCE_KINDS = {"supply_upper": float, "supply_lower": float, "weight_tau": float}
-# a config's scenario keys are its dataclass fields, typed by their defaults
-_SOLVER_KINDS = {"mode": str, **{f.name: type(f.default) for f in fields(SolverConfig)}}
-_ADMM_KINDS = {f.name: type(f.default) for f in fields(AdmmConfig)}
 
 
 def _parse_edges(
@@ -329,23 +324,20 @@ class _CappedComposer(yaml.composer.Composer):
 
     _depth = 0
 
-    def _enter(self) -> None:
+    def _nested(self, compose, anchor):
         if self._depth == MAX_NESTING:
             problem = f"collections nest deeper than {MAX_NESTING} levels"
             raise yaml.composer.ComposerError(None, None, problem, self.peek_event().start_mark)
         self._depth += 1
+        node = compose(self, anchor)
+        self._depth -= 1
+        return node
 
     def compose_sequence_node(self, anchor):
-        self._enter()
-        node = super().compose_sequence_node(anchor)
-        self._depth -= 1
-        return node
+        return self._nested(yaml.composer.Composer.compose_sequence_node, anchor)
 
     def compose_mapping_node(self, anchor):
-        self._enter()
-        node = super().compose_mapping_node(anchor)
-        self._depth -= 1
-        return node
+        return self._nested(yaml.composer.Composer.compose_mapping_node, anchor)
 
 
 class _PureLoader(_CappedComposer, yaml.SafeLoader):
@@ -409,27 +401,25 @@ def _parse_with(text: str, loader) -> ScenarioFile:
 
     behavior = None
     if "behavior" in items:
-        behavior = _read_record(items["behavior"], "behavior", {"gamma": float}, diag, ("gamma",))
+        behavior = _read_record(items["behavior"], "behavior", diag, *_schema(BehavioralModel))
     target_ids: List[str] = []
-    targets: List[Dict[str, object]] = []
-    if "targets" in items:
-        kinds = {"id": _new_id("target", target_ids), **_TARGET_KINDS}
-        targets = _read_list(items["targets"], "targets", kinds, ("id", "loss_value"), diag)
+    targets = _read_list(
+        items, "targets", diag, TargetSpec,
+        id=_new_id("target", target_ids), prob_model=_to_prob_model,
+    )
     source_ids: List[str] = []
-    sources: List[Dict[str, object]] = []
-    if "sources" in items:
-        kinds = {
-            "id": _new_id("source", source_ids),
-            **_SOURCE_KINDS,
-            "utility_coeffs": _coeffs_reader(target_ids),
-        }
-        sources = _read_list(items["sources"], "sources", kinds, ("id", "supply_upper"), diag)
+    sources = _read_list(
+        items, "sources", diag, SourceSpec,
+        id=_new_id("source", source_ids), utility_coeffs=_coeffs_reader(target_ids),
+    )
     complete, edges = False, []
     if "edges" in items:
         complete, edges = _parse_edges(items["edges"], target_ids, source_ids, diag)
+    # the solver section also sets the centralized solver's mode
+    solver_kinds = {"mode": str, **_schema(SolverConfig)[0]}
     solver, admm = (
-        _read_record(items[key], key, kinds, diag) if key in items else {}
-        for key, kinds in (("solver", _SOLVER_KINDS), ("admm", _ADMM_KINDS))
+        _read_record(items[key], key, diag, kinds) if key in items else {}
+        for key, kinds in (("solver", solver_kinds), ("admm", _schema(AdmmConfig)[0]))
     )
 
     if diag.messages:
@@ -440,49 +430,33 @@ def _parse_with(text: str, loader) -> ScenarioFile:
     incident: Dict[str, List[str]] = {y: [] for y in source_ids}
     for x, y in edges:
         incident[y].append(x)
+    for s in sources:
+        given = s.get("utility_coeffs", {})
+        s["utility_coeffs"] = {x: given.get(x, 1.0) for x in incident[s["id"]]}
     network = TransportNetwork(
-        tuple(TargetSpec(**{"prob_model": _DEFAULT_PROB_MODEL, **t}) for t in targets),
-        tuple(
-            SourceSpec(**{
-                **s,
-                "utility_coeffs": {
-                    x: s.get("utility_coeffs", {}).get(x, 1.0) for x in incident[s["id"]]
-                },
-            })
-            for s in sources
-        ),
+        tuple(TargetSpec(**t) for t in targets),
+        tuple(SourceSpec(**s) for s in sources),
         tuple(edges),
     )
     return ScenarioFile(network, BehavioralModel(**behavior), complete, solver, admm)
 
 
+def _record_doc(record) -> Dict[str, object]:
+    """The fields of the dataclass ``record`` in declaration order; a nested
+    record or a mapping becomes a dict."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {
+        name: _record_doc(v) if is_dataclass(v) else dict(v) if isinstance(v, Mapping) else v
+        for name, v in values
+    }
+
+
 def write_scenario(scenario: ScenarioFile) -> str:
     """Canonical serialization; parse(write(x)) == x for valid scenarios."""
     doc: Dict[str, object] = {
-        "behavior": {"gamma": scenario.behavior.gamma},
-        "targets": [
-            {
-                "id": t.id,
-                "loss_value": t.loss_value,
-                "prob_model": {
-                    "family": t.prob_model.family,
-                    "baseline": t.prob_model.baseline,
-                },
-                "demand_lower": t.demand_lower,
-                "demand_upper": t.demand_upper,
-            }
-            for t in scenario.network.targets
-        ],
-        "sources": [
-            {
-                "id": s.id,
-                "supply_upper": s.supply_upper,
-                "supply_lower": s.supply_lower,
-                "weight_tau": s.weight_tau,
-                "utility_coeffs": dict(s.utility_coeffs),
-            }
-            for s in scenario.network.sources
-        ],
+        "behavior": _record_doc(scenario.behavior),
+        "targets": [_record_doc(t) for t in scenario.network.targets],
+        "sources": [_record_doc(s) for s in scenario.network.sources],
         "edges": "complete"
         if scenario.edges_complete
         else [[x, y] for (x, y) in scenario.network.edges],

@@ -49,10 +49,11 @@ __all__ = [
 def _level_inverse(
     model: AttackProbabilityModel, gamma: float, level: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """L with psi(L) = level, elementwise, by Newton from L(0) until no
-    element moves up, and the amounts t with L(t) = L: exactly L(0) and
-    0.0 where psi(L(0)) <= level."""
-    start, k = model.neg_log_probability(0.0), model.log_rate_slope
+    """L with psi(L) = level, elementwise, by Newton from L(0), or from the
+    smallest normal float where L(0) is subnormal (psi's slope, about -1/L,
+    overflows there), until no element moves up; and the amounts t with
+    L(t) = L: exactly the start and 0.0 where psi(start) <= level."""
+    start, k = max(model.neg_log_probability(0.0), np.finfo(float).tiny), model.log_rate_slope
     big_l = np.full(np.shape(level), start)
     for _ in range(_MAX_ROOT_STEPS):
         step = big_l - (psi(big_l, gamma, k) - level) / psi_slope(big_l, gamma, k)

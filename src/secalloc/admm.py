@@ -20,8 +20,8 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import _bounds, _check_op_b_feasible, _make_projector, _report
-from .centralized import project_box_sum, project_capped_sum
+from .centralized import _bounds, _check_op_b_feasible, _make_objective, _make_projector
+from .centralized import _report, project_box_sum, project_capped_sum
 from .errors import ConvergenceError, DomainError, MissingMessageError
 from .model import (
     BehavioralModel,
@@ -31,7 +31,6 @@ from .model import (
     TraceRecord,
     TransportNetwork,
     _MAX_ROOT_STEPS,
-    _loss_and_utility,
     check_fields,
     marginal_perceived_cost,
     psi_slope,
@@ -59,10 +58,10 @@ Edge = Tuple[str, str]
 # run_admm doubles or halves eta while one residual exceeds the other by
 # _BALANCE_RATIO, only in the first _BALANCE_ROUNDS rounds: a penalty that
 # stops changing keeps ADMM's convergence guarantee (He, Yang & Wang 2000)
-_BALANCE_ROUNDS = 100
+_BALANCE_ROUNDS = 400
 _BALANCE_RATIO = 10.0
 
-# the target solve's Newton stops on a step below this fraction of the total
+# Newton stops on a step below this fraction of max(S, |shift|), F's scale
 _ROOT_RTOL = 1e-15
 
 
@@ -167,8 +166,8 @@ def target_subproblem(
     is increasing and concave: -g' = U exp(psi(L(S))) is convex in S. So
     Newton's method from the agent's own last total lands at or left of the
     root in one step (clamped at 0) and then rises to it, never probing
-    past the larger of the start and the root. If S falls outside the demand bounds, the
-    optimum sits on the nearer bound, where the perceived cost is
+    past the larger of the start and the root. Outside the demand bounds
+    the optimum sits on S clamped to them, where the perceived cost is
     constant: the projection of b onto {v >= 0, sum v = bound}.
     """
     spec = agent.spec
@@ -189,18 +188,17 @@ def target_subproblem(
 
     total = sum(agent.local_plan.values())
     shift, step = newton(total)
-    if abs(step) > _ROOT_RTOL * total:
+    if abs(step) > _ROOT_RTOL * max(total, -shift):
         for _ in range(_MAX_ROOT_STEPS):
             total = max(total + step, 0.0)
             shift, step = newton(total)
             # past the first step the iterates only rise; a step that does
             # not, by more than the root-find's tolerance, ends the search
-            if step <= _ROOT_RTOL * total:
+            if step <= _ROOT_RTOL * max(total, -shift):
                 break
-    if total > spec.demand_upper:
-        v = project_capped_sum(np.array(b), spec.demand_upper)
-    elif total < spec.demand_lower:
-        v = project_capped_sum(np.array(b), spec.demand_lower)
+    bound = min(max(total, spec.demand_lower), spec.demand_upper)
+    if bound != total:
+        v = project_capped_sum(np.array(b), bound)
     else:
         v = [max(x - shift, 0.0) for x in b]
     return {e: float(val) for e, val in zip(agent.edges, v)}
@@ -332,6 +330,7 @@ def run_admm(
         for e in agent.edges:
             agent.receive(e, edge_states[e].consensus, edge_states[e].dual)
 
+    objective, _ = _make_objective(network, behavior, "op_b")
     eta = config.eta
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
@@ -351,8 +350,7 @@ def run_admm(
             for s in edge_states.values()
         )
         drift = float(np.abs(consensus - previous).max())
-        perceived, utility = _loss_and_utility(network, consensus, behavior.gamma)
-        trace.append(TraceRecord(iteration, primal, perceived - utility))
+        trace.append(TraceRecord(iteration, primal, objective(consensus)))
         if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:
             # the consensus meets each bound only to within the tolerances
             return _report(network, behavior, project(consensus), iteration, trace)

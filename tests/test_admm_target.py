@@ -194,3 +194,30 @@ def test_small_eta_stays_inside_its_bracket(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
     assert max(probes) <= 2.0 * got.sum()
     assert max(probes) <= top
+
+
+def test_newton_stops_at_the_scale_of_the_shift(monkeypatch):
+    # the root sits near a zero total, where F(S) = S - sum max(b - shift, 0)
+    # is rounded at the scale of the shift g'(S)/eta, not of S: a stop test
+    # relative to S alone lets the steps creep for dozens of evaluations
+    spec = TargetSpec("x", 7.625, AttackProbabilityModel.exponential(1.4554))
+    gamma, eta = 0.6705, 8.0
+    edges = tuple(("x", f"s{k}") for k in range(10))
+    agent = TargetAgent(spec, BehavioralModel(gamma), edges)
+    agent.local_plan = {e: 1e-15 for e in edges}
+    start = oracle_marginal(spec, gamma, 0.0) / eta
+    consensus = [start + 7e-17 * (1.0 + 0.1 * k) for k in range(10)]
+    duals = [0.0] * 10
+    calls = []
+    kernel = admm.marginal_perceived_cost
+
+    def counting(target, behavior, total):
+        calls.append(total)
+        return kernel(target, behavior, total)
+
+    monkeypatch.setattr(admm, "marginal_perceived_cost", counting)
+    out = target_subproblem(agent, dict(zip(edges, duals)), dict(zip(edges, consensus)), eta)
+    got = np.array([out[e] for e in edges])
+    want = oracle(spec, gamma, duals, consensus, eta)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-16)
+    assert len(calls) <= 5

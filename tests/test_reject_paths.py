@@ -1,6 +1,7 @@
 """Reject paths that pin today's messages and exit codes: scenario
-diagnostics, network construction, op_b's aggregate feasibility check,
-aborted and malformed sweeps, and the message bus's delivery checks."""
+diagnostics, network construction, the plan and projection argument
+checks, op_b's aggregate feasibility check, aborted and malformed sweeps,
+and the message bus's delivery checks."""
 
 import os
 
@@ -9,9 +10,10 @@ import pytest
 
 from secalloc import cli
 from secalloc.admm import EdgeState, SourceAgent, TargetAgent, message_bus_round
-from secalloc.centralized import solve_op_a, solve_op_b
+from secalloc.centralized import feasibility_violation, project_capped_sum, solve_op_a, solve_op_b
 from secalloc.errors import DomainError, InfeasibleError, MissingMessageError, ScenarioError
 from secalloc.model import (
+    AllocationPlan,
     AttackProbabilityModel,
     BehavioralModel,
     SourceSpec,
@@ -69,6 +71,12 @@ class TestScenarioDiagnostics:
         text = HEAD + TARGETS + SOURCES + f"edges:\n  - [t1, s1]\n  - {edge}\n  - [t2, s1]\n"
         assert diagnostics(text) == [message]
 
+    def test_edge_end_that_is_not_a_string(self):
+        # the entry is dropped after its one diagnostic: no reference check
+        # runs on an end that was never read
+        text = HEAD + TARGETS + SOURCES + "edges:\n  - [[t1], s1]\n  - [t1, s1]\n  - [t2, s1]\n"
+        assert diagnostics(text) == ["line 8: edges[0][0] must be a string"]
+
     @pytest.mark.parametrize("text", ["- 1\n- 2\n", "just text\n", "42\n"])
     def test_root_that_is_not_a_mapping(self, text):
         assert diagnostics(text) == ["line 1: scenario must be a YAML mapping"]
@@ -107,6 +115,23 @@ class TestTransportNetwork:
         with pytest.raises(DomainError) as info:
             TransportNetwork(self.T, self.S, (("t1", "s1"), ("t2", "s1")))
         assert str(info.value) == "source 's2' has no incident edge"
+
+
+def test_plan_with_a_nan_amount():
+    with pytest.raises(DomainError) as info:
+        AllocationPlan({("t1", "s1"): 1.0, ("t2", "s1"): float("nan")})
+    assert str(info.value) == "amount on edge ('t2', 's1') is not finite"
+
+
+def test_projection_onto_a_negative_total():
+    with pytest.raises(ValueError, match="^total must be >= 0$"):
+        project_capped_sum(np.array([1.0, 2.0]), -1.0)
+
+
+def test_violation_under_an_unknown_mode():
+    network = TransportNetwork.complete(TestTransportNetwork.T, TestTransportNetwork.S)
+    with pytest.raises(ValueError, match="^unknown mode 'op_c'$"):
+        feasibility_violation(network, AllocationPlan.zero(network), "op_c")
 
 
 def test_op_b_rejects_supply_floors_above_demand_caps():

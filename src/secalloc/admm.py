@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 import numpy as np
 
 from .centralized import _bounds, _check_op_b_feasible, _make_objective, _make_projector
-from .centralized import _report, project_box_sum, project_capped_sum
+from .centralized import _report, project_box_sum
 from .errors import ConvergenceError, DomainError, MissingMessageError
 from .model import (
     BehavioralModel,
@@ -198,7 +198,7 @@ def target_subproblem(
                 break
     bound = min(max(total, spec.demand_lower), spec.demand_upper)
     if bound != total:
-        v = project_capped_sum(np.array(b), bound)
+        v = project_box_sum(np.array(b), bound, bound)
     else:
         v = [max(x - shift, 0.0) for x in b]
     return {e: float(val) for e, val in zip(agent.edges, v)}

@@ -29,6 +29,7 @@ from .model import (
     SolveReport,
     TraceRecord,
     TransportNetwork,
+    _checked_totals,
     _loss_and_utility,
     check_fields,
     # kept importable: bench/tracing.py wraps these names here
@@ -90,8 +91,7 @@ def _threshold(v: np.ndarray, total: float) -> float:
 
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto the capped simplex {v >= 0, sum v = total}."""
-    v = np.asarray(values, dtype=float)
-    return np.maximum(v - _threshold(v, total), 0.0)
+    return project_box_sum(values, total, total)
 
 
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
@@ -367,6 +367,7 @@ def kkt_residual(
     _, gradient = _make_objective(network, behavior, mode)
     project = _make_projector(network, mode)
     x = network.edge_index.to_vector(plan)
+    _checked_totals(network, x)
     return float(np.linalg.norm(x - project(x - gradient(x))))
 
 

@@ -45,7 +45,7 @@ def _load_scenario(path: str) -> scenario_io.ScenarioFile:
     return scenario_io.parse_scenario(text)
 
 
-def _config(config_cls, overrides, args):
+def _config(config_cls, overrides, args=None):
     """``config_cls`` from the scenario's overrides, then the flags given."""
     names = [f.name for f in fields(config_cls)]
     values = {key: value for key, value in overrides.items() if key in names}
@@ -115,10 +115,9 @@ def _cmd_admm(args) -> int:
     scenario = _load_scenario(args.scenario)
     config = _config(admm_mod.AdmmConfig, scenario.admm, args)
     report = admm_mod.run_admm(scenario.network, scenario.behavior, config)
+    # the verb's flags configure ADMM; the reference solve reads solver: alone
     central = centralized.solve_op_b(
-        scenario.network,
-        scenario.behavior,
-        _config(centralized.SolverConfig, scenario.solver, args),
+        scenario.network, scenario.behavior, _config(centralized.SolverConfig, scenario.solver)
     )
     admm_objective = report.perceived_loss - report.source_utility
     central_objective = central.perceived_loss - central.source_utility

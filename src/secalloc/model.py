@@ -459,6 +459,9 @@ class EdgeIndex:
         return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
 
     def to_vector(self, plan: "AllocationPlan") -> np.ndarray:
+        """The plan's amounts in edge order; PlanMismatchError unless it has these edges."""
+        if set(plan.amounts) != set(self.edges):
+            raise PlanMismatchError("plan edges differ from network edges")
         return np.array([plan.amounts[e] for e in self.edges], dtype=float)
 
 
@@ -511,11 +514,16 @@ class SolveReport:
     converged: bool
 
 
+def _checked_totals(network: TransportNetwork, x: np.ndarray) -> np.ndarray:
+    """Each target's total under x; DomainError at a negative one, as in the scalar path."""
+    totals = network.edge_index.totals(x)
+    if (totals < 0).any():
+        raise DomainError(f"total_received must be >= 0, got {totals.min()}")
+    return totals
+
+
 def _plan_totals(network: TransportNetwork, plan: AllocationPlan) -> List[float]:
-    if set(plan.amounts) != set(network.edges):
-        raise PlanMismatchError("plan edges differ from network edges")
-    index = network.edge_index
-    return index.target_totals(index.to_vector(plan))
+    return _checked_totals(network, network.edge_index.to_vector(plan)).tolist()
 
 
 def _loss_and_utility(

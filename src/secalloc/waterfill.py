@@ -177,24 +177,27 @@ def _water_profiles(
     return amounts
 
 
-def build_threshold_table(
+def _waterfill(
     network: TransportNetwork, behavior: BehavioralModel
-) -> ThresholdTable:
+) -> Tuple[List[TargetSpec], ThresholdTable, np.ndarray]:
+    """The targets in funding order, their thresholds, and each target's
+    breakpoint: its thresholds against the targets above it, summed."""
     ordered = _require_analytical(network)
     theta = _threshold_matrix(ordered, ordered, behavior.gamma)
-    return ThresholdTable(
+    table = ThresholdTable(
         {
             (ordered[a].id, ordered[b].id): float(theta[a, b])
             for a in range(len(ordered))
             for b in range(a + 1, len(ordered))
         }
     )
+    return ordered, table, np.triu(theta, 1).sum(axis=0)
 
 
-def _breakpoints(ordered: Sequence[TargetSpec], table: ThresholdTable) -> List[float]:
-    # target j's thresholds against the targets valued above it, in order
-    ids = [t.id for t in ordered]
-    return [sum((table.entries[(i, j)] for i in ids[:b]), 0.0) for b, j in enumerate(ids)]
+def build_threshold_table(
+    network: TransportNetwork, behavior: BehavioralModel
+) -> ThresholdTable:
+    return _waterfill(network, behavior)[1]
 
 
 def waterfill_allocate(
@@ -207,8 +210,7 @@ def waterfill_allocate(
     fill the running water profile in listed order until its own budget
     is spent.
     """
-    ordered = _require_analytical(network)
-    table = build_threshold_table(network, behavior)
+    ordered, table, breakpoints = _waterfill(network, behavior)
     budgets = np.cumsum([s.supply_upper for s in network.sources])
     profiles = _water_profiles(ordered, behavior.gamma, budgets)
     columns = np.maximum(np.diff(profiles, axis=1, prepend=0.0), 0.0).T.tolist()
@@ -216,7 +218,7 @@ def waterfill_allocate(
     # to it and the last profile is the full-budget one
     return WaterfillTrace(
         activation_order=tuple(t.id for t in ordered),
-        breakpoints=tuple(_breakpoints(ordered, table)),
+        breakpoints=tuple(breakpoints.tolist()),
         final_aggregates={t.id: agg for t, agg in zip(ordered, profiles[:, -1].tolist())},
         per_source_plan=AllocationPlan(
             {
@@ -234,10 +236,7 @@ def active_target_count(
 ) -> int:
     """Number of targets funded at the optimum: those whose activation
     breakpoint lies strictly below the total budget."""
-    ordered = _require_analytical(network)
-    budget = network.total_supply()
-    table = build_threshold_table(network, behavior)
-    return sum(1 for b in _breakpoints(ordered, table) if budget > b)
+    return int((_waterfill(network, behavior)[2] < network.total_supply()).sum())
 
 
 def gamma_sensitivity(

@@ -10,6 +10,9 @@ two sides agree and the consensus plan solves the centralized problem.
 
 Rounds are synchronous (Jacobi style): all agents solve against the
 round-k state, then one barrier applies the consensus and dual updates.
+The agents and ``message_bus_round`` are that protocol. ``run_admm`` runs
+its rounds on edge-ordered arrays: each target agent solves on its own
+slice, and all sources at once on the op_b projector's shift.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import _bounds, _check_op_b_feasible, _make_objective, _make_projector
-from .centralized import _report, project_box_sum
+from .centralized import _bounds, _finite, _make_objective, _make_projector, _report, _shifts
+from .centralized import project_box_sum
 from .errors import ConvergenceError, DomainError, MissingMessageError
 from .model import (
     BehavioralModel,
@@ -257,15 +260,8 @@ def message_bus_round(
     for e, state in edge_states.items():
         if e not in target_props or e not in source_props:
             raise MissingMessageError(f"edge {e} missing a proposal this round")
-        # consensus_update and dual_update in one constructor call: same
-        # expressions, so the same bytes
-        t, s = target_props[e], source_props[e]
-        updated[e] = EdgeState(
-            consensus=0.5 * (t + s),
-            dual=state.dual + 0.5 * eta * (t - s),
-            last_target_proposal=t,
-            last_source_proposal=s,
-        )
+        proposed = EdgeState(state.consensus, state.dual, target_props[e], source_props[e])
+        updated[e] = dual_update(consensus_update(proposed), eta)
     for agent in agent_list:
         for e in agent.edges:
             agent.receive(e, updated[e].consensus, updated[e].dual)
@@ -299,6 +295,8 @@ def run_admm(
 ) -> SolveReport:
     """Run the four-step consensus iteration until both sides agree.
 
+    The consensus, the duals and both sides' proposals are edge-ordered
+    arrays; each round gives the protocol's values bit for bit.
     Terminates when the worst per-edge disagreement |pi^t - pi^s| (the
     primal residual) falls below ``primal_tolerance`` and eta times the
     worst per-edge consensus move (the dual residual, Boyd et al. 2011,
@@ -311,44 +309,42 @@ def run_admm(
     raises DomainError, or where the consensus is not finite, raises
     ConvergenceError.
     """
-    _check_op_b_feasible(network)
-    agents: List[Union[TargetAgent, SourceAgent]] = [
-        *(TargetAgent(t, behavior, network.edges_of_target(t.id)) for t in network.targets),
-        *(SourceAgent(s, network.edges_of_source(s.id)) for s in network.sources),
-    ]
-
     index = network.edge_index
-    consensus = _initial_consensus(network)
-    # a network infeasible at one node passes the aggregate check, but its
-    # projection never settles and raises InfeasibleError
+    # the projector rejects infeasible totals; a network infeasible only at
+    # one node passes, but its projection never settles: InfeasibleError
     project = _make_projector(network, "op_b")
+    consensus = _initial_consensus(network)
     project(consensus)
-    edge_states = {
-        e: EdgeState(consensus=float(c)) for e, c in zip(index.edges, consensus)
-    }
-    for agent in agents:
-        for e in agent.edges:
-            agent.receive(e, edge_states[e].consensus, edge_states[e].dual)
+    agents = [TargetAgent(t, behavior, network.edges_of_target(t.id)) for t in network.targets]
+    sources = _bounds(network, "op_b")[0]
+    duals = np.zeros(len(index.edges))
+    target_props, source_props = np.empty(len(index.edges)), np.empty(len(index.edges))
 
     objective, _ = _make_objective(network, behavior, "op_b")
     eta = config.eta
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
         try:
-            for agent in agents:
-                agent.solve(eta)
+            for agent, edges in zip(agents, index.target_slices):
+                # the agent's own slice of the round state, as the bus mails it
+                mail = [dict(zip(agent.edges, a[edges].tolist())) for a in (duals, consensus)]
+                agent.local_plan = target_subproblem(agent, *mail, eta)
+                target_props[edges] = list(agent.local_plan.values())
+            # every source's proposal is the projection of its shifted point
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifted = _finite(consensus + (index.tau_c + duals) / eta)
         except DomainError as exc:
             raise _out_of_range(iteration, eta, str(exc), trace) from exc
+        for positions, theta in _shifts(shifted, sources):
+            source_props[positions] = np.maximum(shifted[positions] - theta[:, None], 0.0)
         previous = consensus
-        edge_states = message_bus_round(agents, edge_states, eta)
-        consensus = np.array([edge_states[e].consensus for e in index.edges])
+        with np.errstate(over="ignore", invalid="ignore"):
+            consensus = 0.5 * (target_props + source_props)
+            duals = duals + 0.5 * eta * (target_props - source_props)
+            primal = float(np.abs(target_props - source_props).max())
         if not np.isfinite(consensus).all():
             raise _out_of_range(iteration, eta, "the consensus is not finite", trace)
 
-        primal = max(
-            abs(s.last_target_proposal - s.last_source_proposal)
-            for s in edge_states.values()
-        )
         drift = float(np.abs(consensus - previous).max())
         trace.append(TraceRecord(iteration, primal, objective(consensus)))
         if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:

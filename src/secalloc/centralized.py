@@ -74,19 +74,17 @@ class SolverConfig:
 
 def _threshold(v: np.ndarray, total: float) -> float:
     """The theta for which max(v - theta, 0) is the Euclidean projection of v
-    onto {x >= 0, sum x = total}, sort-based; a zero total takes the smallest
-    theta that clears v, which is finite. Where rounding leaves no index
-    with u > theta, the last index is taken, as in ``_row_thresholds``.
-    An entry of inf or nan has no threshold and raises DomainError."""
+    onto {x >= 0, sum x = total}: ``_row_thresholds`` of v as one row."""
     if total < 0:
         raise ValueError("total must be >= 0")
+    return float(_row_thresholds(v[None, :], np.array([total]))[0])
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v, unless an entry is inf or nan: such a vector has no projection."""
     if not np.isfinite(v).all():
         raise DomainError("cannot project a vector with an infinite or nan entry")
-    if total == 0:
-        return float(v.max())
-    u = np.sort(v)[::-1]
-    thetas = (np.cumsum(u) - total) / np.arange(1, v.size + 1)
-    return float(thetas[v.size - 1 - np.argmax((u - thetas > 0)[::-1])])
+    return v
 
 
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
@@ -97,7 +95,7 @@ def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
     """Euclidean projection onto {v >= 0, lower <= sum v <= upper}: the shift
     is 0 when clipping fits, else the threshold onto the nearer bound."""
-    v = np.asarray(values, dtype=float)
+    v = _finite(np.asarray(values, dtype=float))
     s = float(np.maximum(v, 0.0).sum())
     shift = 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
     return np.maximum(v - shift, 0.0)
@@ -134,8 +132,10 @@ def _bounds(network: TransportNetwork, mode: str) -> Tuple[list, list]:
 
 
 def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``_threshold`` of each row at its total: one sort, one row-wise
-    cumsum and the same arithmetic, so each value is bit-equal."""
+    """Each row's theta at its total, sort-based: max(row - theta, 0) is its
+    projection onto {x >= 0, sum x = total}. A zero total takes the smallest
+    theta that clears the row, which is finite. Where rounding leaves no
+    index with u > theta, the last index is taken."""
     u = np.sort(rows, axis=1)[:, ::-1]
     thetas = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, rows.shape[1] + 1)
     last = rows.shape[1] - 1 - np.argmax((u - thetas > 0)[:, ::-1], axis=1)
@@ -168,8 +168,11 @@ def _make_projector(
     alternating the two is coordinate ascent on the dual (Dykstra's method).
     Each side's shifts are computed a degree group at a time. op_a has no
     targets, so one pass is exact. mu is kept across calls: each PGD step
-    starts from the last step's multipliers."""
+    starts from the last step's multipliers. An op_b network whose totals
+    cannot meet is rejected here, before any projection spins on it."""
     sources, targets = _bounds(network, mode)
+    if mode == "op_b":
+        _check_op_b_feasible(network)
     lam = np.zeros(len(network.edges))
     mu = np.zeros(len(network.edges))
 
@@ -341,7 +344,6 @@ def solve_op_b(
 ) -> SolveReport:
     """Minimize perceived loss net of weighted source utility, under both
     source supply bounds and target received-amount bounds."""
-    _check_op_b_feasible(network)
     return _solve(network, behavior, config, "op_b")
 
 

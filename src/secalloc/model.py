@@ -230,7 +230,7 @@ class AttackProbabilityModel:
 
     # p and its derivatives at one total t >= 0, all from L and k
     def _checked_neg_log(self, total_received: float) -> float:
-        if total_received < 0:
+        if not total_received >= 0:  # nan too
             raise DomainError(f"total_received must be >= 0, got {total_received}")
         return self.neg_log_probability(total_received)
 
@@ -308,8 +308,9 @@ class TransportNetwork:
     """Bipartite transport network: targets, sources, and feasible edges.
 
     Edges are (target_id, source_id) pairs, stored in canonical order
-    (the targets' listed order, then the sources' listed order). Every
-    node must be incident to at least one edge. ``edge_index``, the array
+    (the targets' listed order, then the sources' listed order). It needs
+    at least one target and one source, and every node must be incident to
+    at least one edge. ``edge_index``, the array
     view of the edges that every solver shares, is built once, here.
     """
 
@@ -319,6 +320,8 @@ class TransportNetwork:
     edge_index: "EdgeIndex" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.targets or not self.sources:
+            raise DomainError("a network needs at least one target and one source")
         tpos = {t.id: i for i, t in enumerate(self.targets)}
         spos = {s.id: i for i, s in enumerate(self.sources)}
         if len(tpos) != len(self.targets):

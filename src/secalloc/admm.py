@@ -11,8 +11,9 @@ two sides agree and the consensus plan solves the centralized problem.
 Rounds are synchronous (Jacobi style): all agents solve against the
 round-k state, then one barrier applies the consensus and dual updates.
 The agents and ``message_bus_round`` are that protocol. ``run_admm`` runs
-its rounds on edge-ordered arrays: each target agent solves on its own
-slice, and all sources at once on the op_b projector's shift.
+its rounds on edge-ordered arrays, with no agent or mapping per round: each
+target runs the agents' Newton kernel on its slice of one vector b from its
+last total, and all sources at once on the op_b projector's shift.
 """
 
 from __future__ import annotations
@@ -155,29 +156,27 @@ class SourceAgent(_Agent):
 
 
 def target_subproblem(
-    agent: TargetAgent,
-    duals: Mapping[Edge, float],
-    consensus: Mapping[Edge, float],
-    eta: float,
+    agent: TargetAgent, duals: Mapping[Edge, float], consensus: Mapping[Edge, float], eta: float
 ) -> Dict[Edge, float]:
-    """Minimize  U w(p(sum v)) + sum alpha v + (eta/2) sum (v - pi)^2  over
-    the target's own bound set. Strictly convex; solved exactly.
+    """Minimize  U w(p(sum v)) + sum alpha v + (eta/2) sum (v - pi)^2  on its bounds."""
+    b = [consensus[e] - duals[e] / eta for e in agent.edges]
+    amounts = _target_newton(agent.spec, agent.behavior, b, sum(agent.local_plan.values()), eta)
+    return dict(zip(agent.edges, amounts))
 
-    The optimum is  v = max(b - g'(S)/eta, 0)  with  b = pi - alpha/eta,
-    g' the marginal perceived cost and S = sum v, so only the scalar S is
-    unknown. It is the root of F(S) = S - sum max(b - g'(S)/eta, 0), which
-    is increasing and concave: -g' = U exp(psi(L(S))) is convex in S. So
-    Newton's method from the agent's own last total lands at or left of the
-    root in one step (clamped at 0) and then rises to it, never probing
-    past the larger of the start and the root. Outside the demand bounds
-    the optimum sits on S clamped to them, where the perceived cost is
-    constant: the projection of b onto {v >= 0, sum v = bound}.
-    """
-    spec = agent.spec
-    behavior = agent.behavior
+
+def _target_newton(
+    spec: TargetSpec, behavior: BehavioralModel, b: List[float], start_total: float, eta: float
+) -> List[float]:
+    """A target's optimum  v = max(b - g'(S)/eta, 0),  b = pi - alpha/eta and
+    g' the marginal perceived cost, at the root S of F(S) = S - sum v(S),
+    which is increasing and concave: -g' = U exp(psi(L(S))) is convex in S.
+    So Newton's method from start_total, the target's last total, lands at
+    or left of the root in one step (clamped at 0) and then rises to it,
+    never probing past the larger of the start and the root. Outside the
+    demand bounds S is clamped to them, where the perceived cost is
+    constant: v is the projection of b onto {v >= 0, sum v = bound}."""
     model = spec.prob_model
     gamma, k = behavior.gamma, model.log_rate_slope
-    b = [consensus[e] - duals[e] / eta for e in agent.edges]
 
     def newton(total: float) -> Tuple[float, float]:
         # the shift g'(S)/eta at S and the Newton step -F(S)/F'(S), with
@@ -189,7 +188,7 @@ def target_subproblem(
         curvature = marginal * psi_slope(big_l, gamma, k) * math.exp(k * big_l)
         return shift, (sum(active) - total) / (1.0 + len(active) * curvature / eta)
 
-    total = sum(agent.local_plan.values())
+    total = start_total
     shift, step = newton(total)
     if abs(step) > _ROOT_RTOL * max(total, -shift):
         for _ in range(_MAX_ROOT_STEPS):
@@ -201,10 +200,8 @@ def target_subproblem(
                 break
     bound = min(max(total, spec.demand_lower), spec.demand_upper)
     if bound != total:
-        v = project_box_sum(np.array(b), bound, bound)
-    else:
-        v = [max(x - shift, 0.0) for x in b]
-    return {e: float(val) for e, val in zip(agent.edges, v)}
+        return project_box_sum(np.array(b), bound, bound).tolist()
+    return [max(x - shift, 0.0) for x in b]
 
 
 def source_subproblem(
@@ -295,8 +292,9 @@ def run_admm(
 ) -> SolveReport:
     """Run the four-step consensus iteration until both sides agree.
 
-    The consensus, the duals and both sides' proposals are edge-ordered
-    arrays; each round gives the protocol's values bit for bit.
+    The round state is edge-ordered arrays, and no agent or mapping is built
+    per round: each target runs the agents' Newton kernel on its slice of
+    b = consensus - duals/eta from its last total, bit for bit the protocol.
     Terminates when the worst per-edge disagreement |pi^t - pi^s| (the
     primal residual) falls below ``primal_tolerance`` and eta times the
     worst per-edge consensus move (the dual residual, Boyd et al. 2011,
@@ -315,33 +313,37 @@ def run_admm(
     project = _make_projector(network, "op_b")
     consensus = _initial_consensus(network)
     project(consensus)
-    agents = [TargetAgent(t, behavior, network.edges_of_target(t.id)) for t in network.targets]
+    totals = [0.0] * len(network.targets)  # each target's last total: its warm start
     sources = _bounds(network, "op_b")[0]
     duals = np.zeros(len(index.edges))
-    target_props, source_props = np.empty(len(index.edges)), np.empty(len(index.edges))
+    source_props = np.empty(len(index.edges))
 
     objective, _ = _make_objective(network, behavior, "op_b")
     eta = config.eta
     trace: List[TraceRecord] = []
     for iteration in range(1, config.max_iterations + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = (consensus - duals / eta).tolist()
+            shifted = consensus + (index.tau_c + duals) / eta
         try:
-            for agent, edges in zip(agents, index.target_slices):
-                # the agent's own slice of the round state, as the bus mails it
-                mail = [dict(zip(agent.edges, a[edges].tolist())) for a in (duals, consensus)]
-                agent.local_plan = target_subproblem(agent, *mail, eta)
-                target_props[edges] = list(agent.local_plan.values())
+            amounts: List[float] = []
+            for k, (spec, edges) in enumerate(zip(network.targets, index.target_slices)):
+                # each target solves on its own slice of b, as its agent would
+                proposal = _target_newton(spec, behavior, b[edges], totals[k], eta)
+                totals[k] = sum(proposal)
+                amounts += proposal
+            target_props = np.array(amounts)
             # every source's proposal is the projection of its shifted point
-            with np.errstate(over="ignore", invalid="ignore"):
-                shifted = _finite(consensus + (index.tau_c + duals) / eta)
+            for positions, theta in _shifts(_finite(shifted), sources):
+                source_props[positions] = np.maximum(shifted[positions] - theta[:, None], 0.0)
         except DomainError as exc:
             raise _out_of_range(iteration, eta, str(exc), trace) from exc
-        for positions, theta in _shifts(shifted, sources):
-            source_props[positions] = np.maximum(shifted[positions] - theta[:, None], 0.0)
         previous = consensus
         with np.errstate(over="ignore", invalid="ignore"):
+            gap = target_props - source_props
             consensus = 0.5 * (target_props + source_props)
-            duals = duals + 0.5 * eta * (target_props - source_props)
-            primal = float(np.abs(target_props - source_props).max())
+            duals = duals + 0.5 * eta * gap
+            primal = float(np.abs(gap).max())
         if not np.isfinite(consensus).all():
             raise _out_of_range(iteration, eta, "the consensus is not finite", trace)
 

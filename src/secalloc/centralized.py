@@ -151,6 +151,9 @@ def _shifts(v: np.ndarray, groups: list):
         rows = v[positions]
         s = np.maximum(rows, 0.0).sum(axis=1)
         off = (s < lower) | (s > upper)
+        if off.all():  # nearly every group of ADMM's sources: no gather, no scatter
+            yield positions, _row_thresholds(rows, np.where(s > upper, upper, lower))
+            continue
         theta = np.zeros(len(rows))
         if off.any():
             theta[off] = _row_thresholds(rows[off], np.where(s > upper, upper, lower)[off])

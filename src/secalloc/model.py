@@ -103,7 +103,10 @@ def field_problem(name: str, value, family: Optional[str] = None) -> Optional[st
     and none when the family is unknown (the family's own rule rejects it).
     """
     rules = FIELD_RULES.get(f"{family} baseline", ()) if name == "baseline" else FIELD_RULES[name]
-    return next((phrase for rejects, phrase in rules if rejects(value)), None)
+    for rejects, phrase in rules:
+        if rejects(value):
+            return phrase
+    return None
 
 
 def bound_problems(values: Mapping[str, object]) -> List[str]:
@@ -132,12 +135,13 @@ def check_fields(owner: str, record) -> None:
     """
     ruled = _ruled_fields(type(record))
     values = {name: getattr(record, name) for name, _ in ruled}
+    family = values.get("family")
     for name, is_mapping in ruled:
-        value = values[name]
-        entries = ((f"{name}.{k}", v) for k, v in value.items()) if is_mapping else [(name, value)]
-        for label, value in entries:
-            problem = field_problem(name, value, values.get("family"))
+        entries = values[name].items() if is_mapping else ((None, values[name]),)
+        for key, value in entries:
+            problem = field_problem(name, value, family)
             if problem:
+                label = f"{name}.{key}" if is_mapping else name
                 raise DomainError(f"{owner}: {label} {problem}, got {value!r}")
     for phrase in bound_problems(values):
         raise DomainError(f"{owner}: {phrase}")

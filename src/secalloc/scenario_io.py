@@ -235,16 +235,18 @@ def _new_id(what: str, declared: List[str]) -> _Reader:
     """Reader of the ``id`` field, rejecting an id already read. Each id it
     accepts is appended to ``declared``, so that references to it resolve
     even when another field of its record is rejected."""
+    seen = set(declared)
 
     def read(node, path: str, diag: _Diag) -> Optional[str]:
         value = _to_str(node, path, diag)
         if value is None:  # a mapping or list leaves the record without an id
             diag.add(node, f"{path} is required")
-        elif value in declared:
+        elif value in seen:
             diag.add(node, f"duplicate {what} id {value!r}")
             return None
         else:
             declared.append(value)
+            seen.add(value)
         return value
 
     return read
@@ -313,46 +315,79 @@ def _parse_edges(
     return False, edges
 
 
-# a valid scenario nests 4 collections deep; the composer recurses once per
-# level, so a deeper file is rejected before it can exhaust Python's stack
+# a valid scenario nests 4 collections deep; the limit caps the composer's
+# stack of open collections, so a deeper file is rejected at the first
+# collection that would open past it
 MAX_NESTING = 64
 
 
-class _CappedComposer(yaml.composer.Composer):
-    """PyYAML's Python composer, shared by both parsers, rejecting the first
-    collection nested deeper than ``MAX_NESTING``."""
+class _EventComposer:
+    """The composer of both parsers: one loop over the parser's events that
+    builds PyYAML's node tree on a stack of open collections. Tags are left
+    unresolved, since the reader converts each scalar's text itself."""
 
-    _depth = 0
+    def get_single_node(self):
+        def fail(problem: str):
+            raise yaml.composer.ComposerError(None, None, problem, event.start_mark)
 
-    def _nested(self, compose, anchor):
-        if self._depth == MAX_NESTING:
-            problem = f"collections nest deeper than {MAX_NESTING} levels"
-            raise yaml.composer.ComposerError(None, None, problem, self.peek_event().start_mark)
-        self._depth += 1
-        node = compose(self, anchor)
-        self._depth -= 1
+        get = self.get_event
+        get()  # STREAM-START
+        if self.check_event(yaml.StreamEndEvent):
+            return None
+        get()  # DOCUMENT-START
+        anchors: Dict[str, yaml.Node] = {}
+        stack: List[yaml.CollectionNode] = []  # the open collections, innermost last
+        while True:
+            event = get()
+            kind = type(event)
+            if kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                node = stack.pop()
+                node.end_mark = event.end_mark
+                if kind is yaml.MappingEndEvent:  # its keys and values alternate
+                    node.value = list(zip(node.value[::2], node.value[1::2]))
+            elif kind is yaml.AliasEvent:
+                node = anchors.get(event.anchor)
+                if node is None:
+                    fail(f"found undefined alias {event.anchor!r}")
+                stack[-1].value.append(node)  # a root alias is undefined, so one is open
+            else:
+                anchor = event.anchor
+                if anchor in anchors:
+                    first = anchors[anchor].start_mark.line + 1
+                    fail(f"found duplicate anchor {anchor!r} (first occurrence on line {first})")
+                if kind is yaml.ScalarEvent:
+                    node = yaml.ScalarNode(
+                        event.tag, event.value, event.start_mark, event.end_mark, event.style
+                    )
+                elif len(stack) == MAX_NESTING:
+                    fail(f"collections nest deeper than {MAX_NESTING} levels")
+                else:
+                    cls = yaml.SequenceNode if kind is yaml.SequenceStartEvent else yaml.MappingNode
+                    node = cls(event.tag, [], event.start_mark, None, event.flow_style)
+                if anchor is not None:
+                    anchors[anchor] = node
+                if stack:
+                    stack[-1].value.append(node)
+                if kind is not yaml.ScalarEvent:
+                    stack.append(node)
+            if not stack:  # ``node`` is the document's root
+                break
+        get()  # DOCUMENT-END
+        event = get()
+        if type(event) is not yaml.StreamEndEvent:
+            fail("expected a single document in the stream, but found another document")
         return node
 
-    def compose_sequence_node(self, anchor):
-        return self._nested(yaml.composer.Composer.compose_sequence_node, anchor)
 
-    def compose_mapping_node(self, anchor):
-        return self._nested(yaml.composer.Composer.compose_mapping_node, anchor)
-
-
-class _PureLoader(_CappedComposer, yaml.SafeLoader):
+class _PureLoader(_EventComposer, yaml.SafeLoader):
     """The pure-Python reader: every diagnostic is its message."""
 
 
 if hasattr(yaml, "CSafeLoader"):
 
-    class _LibyamlLoader(_CappedComposer, yaml.CSafeLoader):
-        """libyaml's parser feeding the Python composer (libyaml's own
+    class _LibyamlLoader(_EventComposer, yaml.CSafeLoader):
+        """libyaml's parser feeding the event composer (libyaml's own
         composer recurses on the C stack and crashes on deep nesting)."""
-
-        def __init__(self, stream) -> None:
-            yaml.CSafeLoader.__init__(self, stream)
-            _CappedComposer.__init__(self)
 
 else:
     _LibyamlLoader = None

@@ -54,7 +54,7 @@ _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
 _MIN_ALPHA, _MAX_ALPHA = 1e-10, 1e2  # clamp on the spectral step
 _MAX_SCALED_GRADIENT = 1e3  # cap on the largest scaled gradient entry at the start
-_FEASIBLE_RTOL = 1e-9  # largest violation of a returned plan, relative to max(1, supply)
+_FEASIBLE_RTOL = 1e-9  # largest violation of a returned plan, relative to the supply
 _BB_KAPPA = 0.7  # take BB1 where BB2 / BB1 = cos^2(s, y) falls below this
 _STALL_ITERATIONS = 10
 _SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
@@ -132,15 +132,16 @@ def _bounds(network: TransportNetwork, mode: str) -> Tuple[list, list]:
 
 
 def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Each row's theta at its total, sort-based: max(row - theta, 0) is its
-    projection onto {x >= 0, sum x = total}. A zero total takes the smallest
-    theta that clears the row, which is finite. Where rounding leaves no
-    index with u > theta, the last index is taken."""
+    """Each row's theta at its total, sort-based (Held, Wolfe & Crowder 1974;
+    Duchi et al. 2008): max(row - theta, 0) is its projection onto
+    {x >= 0, sum x = total}. With u the row sorted down and theta_k =
+    (u_1 + ... + u_k - total) / k, theta is theta_k at k the count of
+    entries with u_k > theta_k, at least 1. A zero total, or one below the
+    rounding of u_1, counts none and takes u_1 - total, which clears the row."""
     u = np.sort(rows, axis=1)[:, ::-1]
     thetas = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, rows.shape[1] + 1)
-    last = rows.shape[1] - 1 - np.argmax((u - thetas > 0)[:, ::-1], axis=1)
-    theta = thetas[np.arange(len(rows)), last]
-    return np.where(totals == 0, rows.max(axis=1), theta)
+    count = (u > thetas).sum(axis=1)
+    return thetas[np.arange(len(rows)), np.maximum(count - 1, 0)]
 
 
 def _shifts(v: np.ndarray, groups: list):
@@ -151,13 +152,8 @@ def _shifts(v: np.ndarray, groups: list):
         rows = v[positions]
         s = np.maximum(rows, 0.0).sum(axis=1)
         off = (s < lower) | (s > upper)
-        if off.all():  # nearly every group of ADMM's sources: no gather, no scatter
-            yield positions, _row_thresholds(rows, np.where(s > upper, upper, lower))
-            continue
-        theta = np.zeros(len(rows))
-        if off.any():
-            theta[off] = _row_thresholds(rows[off], np.where(s > upper, upper, lower)[off])
-        yield positions, theta
+        theta = _row_thresholds(rows, np.where(s > upper, upper, lower)) if off.any() else 0.0
+        yield positions, np.where(off, theta, 0.0)
 
 
 def _make_projector(
@@ -205,6 +201,7 @@ def _pgd(
     gradient: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     config: SolverConfig,
+    budget: float = 1.0,
 ) -> Tuple[np.ndarray, int, List[TraceRecord], bool]:
     """Spectral projected gradient (Barzilai & Borwein 1988; Birgin,
     Martinez & Raydan 2000) with monotone Armijo backtracking.
@@ -224,23 +221,26 @@ def _pgd(
     it equals there; a threshold of 0.5 tripled op_b's iterations on a
     seeded 5x3 network (``tests/test_adaptive_step.py``).
     Converged when ||d|| / min(alpha, 1), an upper bound on the unit-step
-    projected-gradient norm, falls below ``gradient_tolerance``, or when the
-    objective changes by at most ``objective_tolerance`` for 10 consecutive
-    iterations.
+    projected-gradient norm, falls below ``gradient_tolerance`` in units of
+    amount (below), or when the objective changes by at most
+    ``objective_tolerance`` in units of cost for 10 consecutive iterations.
 
-    The loop runs on the problem divided by scale = min(1, max|g|) at the
-    projected start (Nocedal & Wright, Numerical Optimization, section 2.2),
-    so the tolerances and the step clamp hold at large budgets, where every
-    marginal is tiny; scale is 1 where they all underflow to 0, and at least
-    max|g| / 1e3 at large loss values, where x - alpha g otherwise lies so
-    far out that its projection loses the budgets to rounding (U = 1e17).
-    g is the scaled gradient; objective values stay unscaled for the trace,
-    so the Armijo and stall tests multiply their scaled terms back by scale.
+    The loop runs in units of amount = min(1, budget) and cost = min(1,
+    amount max|g|) at the projected start (Nocedal & Wright, Numerical
+    Optimization, section 2.2), so the tolerances and the step clamp hold
+    at large budgets, where every marginal is tiny, and at small ones; cost
+    is 1 where every marginal underflows to 0, and at least amount max|g| /
+    1e3 at large loss values, where x - alpha g otherwise lies so far out
+    that its projection loses the budgets to rounding (U = 1e17). g is the
+    gradient over scale = cost / amount^2; objective values stay unscaled
+    for the trace, so the Armijo and stall tests scale their terms back.
     """
     x = project(np.asarray(x0, dtype=float))
     fx, g = objective(x), gradient(x)
-    g_max = float(np.abs(g).max())
-    scale = max(min(1.0, g_max), g_max / _MAX_SCALED_GRADIENT) or 1.0
+    amount = min(budget, 1.0)
+    g_max = amount * float(np.abs(g).max())
+    cost = max(min(1.0, g_max), g_max / _MAX_SCALED_GRADIENT) or 1.0
+    scale = cost / amount / amount  # not amount**2, which underflows below about 1e-162
     g = g / scale
     alpha = config.step_size
     trace: List[TraceRecord] = []
@@ -248,7 +248,7 @@ def _pgd(
     for iteration in range(1, config.max_iterations + 1):
         p = project(x - alpha * g)
         d = p - x
-        residual = float(np.linalg.norm(d)) / min(alpha, 1.0)
+        residual = float(np.linalg.norm(d)) / min(alpha, 1.0) / amount
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, True
@@ -262,7 +262,7 @@ def _pgd(
                 x_new, f_new = candidate, f_candidate
                 break
             lam *= 0.5
-        if abs(fx - f_new) <= config.objective_tolerance * scale:
+        if abs(fx - f_new) <= config.objective_tolerance * cost:
             stall += 1
             if stall >= _STALL_ITERATIONS:
                 return x_new, iteration, trace, True
@@ -303,7 +303,8 @@ def _solve(
     objective, gradient = _make_objective(network, behavior, mode)
     project = _make_projector(network, mode)
     x0 = _uniform_start(network)
-    x, iterations, trace, converged = _pgd(x0, objective, gradient, project, config)
+    budget = network.total_supply()
+    x, iterations, trace, converged = _pgd(x0, objective, gradient, project, config, budget)
     if not converged:
         raise ConvergenceError(
             f"{mode} solve did not converge in {config.max_iterations} iterations",
@@ -311,7 +312,7 @@ def _solve(
         )
     # every iterate is feasible up to rounding; a plan that rounding moved out is not returned
     violation = _violation(network, x, mode)
-    if violation > _FEASIBLE_RTOL * max(1.0, network.total_supply()):
+    if violation > _FEASIBLE_RTOL * budget:
         raise ConvergenceError(f"{mode} solve left the feasible set by {violation:g}", trace=trace)
     return _report(network, behavior, x, iterations, trace)
 

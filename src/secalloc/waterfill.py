@@ -167,7 +167,8 @@ def _water_profiles(
         excess = amounts.sum(axis=0) - budgets
         # d spend / d lam: dt/dL = exp(-k L) over dpsi/dL, on the funded targets
         slope = np.where(amounts > 0.0, np.exp(-k * big_l) / psi_slope(big_l, gamma, k), 0.0)
-        step = level - excess / slope.sum(axis=0)
+        slope = slope.sum(axis=0)  # 0 where no target is funded: no step
+        step = level - excess / np.where(slope == 0.0, np.inf, slope)
         # a level finer than the amounts resolve leaves the spend unchanged
         moved = (step > level) & (excess < last_excess)
         if not moved.any():

@@ -41,7 +41,7 @@ def test_threshold_without_a_qualifying_index_matches_rows():
     # u - theta rounds to 0 at the first index and is negative at the last
     v = np.array([1e20, -1e20])
     want = _row_thresholds(v[None, :], np.array([1.0]))[0]
-    assert _threshold(v, 1.0) == want == -0.5
+    assert _threshold(v, 1.0) == want == 1e20
 
 
 # at this penalty the source solve's (tau c + alpha) / eta overflows to inf,

@@ -18,7 +18,7 @@ source and target multipliers are updated in turn until they settle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -299,10 +299,11 @@ def _solve(
     behavior: BehavioralModel,
     config: SolverConfig,
     mode: str,
+    start: Optional[AllocationPlan] = None,
 ) -> SolveReport:
     objective, gradient = _make_objective(network, behavior, mode)
     project = _make_projector(network, mode)
-    x0 = _uniform_start(network)
+    x0 = _uniform_start(network) if start is None else network.edge_index.to_vector(start)
     budget = network.total_supply()
     x, iterations, trace, converged = _pgd(x0, objective, gradient, project, config, budget)
     if not converged:
@@ -345,10 +346,14 @@ def solve_op_b(
     network: TransportNetwork,
     behavior: BehavioralModel,
     config: SolverConfig = SolverConfig(),
+    start: Optional[AllocationPlan] = None,
 ) -> SolveReport:
     """Minimize perceived loss net of weighted source utility, under both
-    source supply bounds and target received-amount bounds."""
-    return _solve(network, behavior, config, "op_b")
+    source supply bounds and target received-amount bounds. The solve
+    begins at ``start`` where one is given, projected onto the feasible set
+    first (PlanMismatchError unless it has the network's edges), and at
+    the uniform split of each source's supply otherwise."""
+    return _solve(network, behavior, config, "op_b", start)
 
 
 def project_feasible(

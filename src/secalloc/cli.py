@@ -140,12 +140,16 @@ def _grid(args, what: str, problem) -> np.ndarray:
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if found := problem(value):
             raise ScenarioError([f"{what} grid {flag} {found}, got {value!r}"])
-    return np.linspace(args.start, args.stop, args.steps)
+    try:
+        return np.linspace(args.start, args.stop, args.steps)
+    except (MemoryError, ValueError):  # numpy's ValueError: past the largest array size
+        raise ScenarioError([f"{what} grid of {args.steps} points does not fit in memory"]) from None
 
 
 def _sweep(args, axis: str, problem, solve_at) -> int:
     """Solve at each point of the ``axis`` grid in order, ``solve_at(scenario,
-    value, config)`` giving the report, and write one CSV row per point.
+    value, config, previous)`` giving the report, with ``previous`` the last
+    point's report (None at the first), and write one CSV row per point.
     A point that does not converge ends the sweep: the rows before it are
     written, and the exit code is EXIT_NO_CONVERGENCE."""
     scenario = _load_scenario(args.scenario)
@@ -153,9 +157,10 @@ def _sweep(args, axis: str, problem, solve_at) -> int:
     config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
     failure: Optional[str] = None
+    report: Optional[SolveReport] = None
     for value in grid:
         try:
-            report = solve_at(scenario, float(value), config)
+            report = solve_at(scenario, float(value), config, report)
         except ConvergenceError as exc:
             failure = f"{axis}={value:g} did not converge ({exc})"
             break
@@ -180,20 +185,24 @@ def _sweep(args, axis: str, problem, solve_at) -> int:
 
 
 def _cmd_sweep_gamma(args) -> int:
-    def solve_at(scenario, value, config):
+    # cold at every point: a warm start saves op_a almost nothing here
+    def solve_at(scenario, value, config, previous):
         return centralized.solve_op_a(scenario.network, BehavioralModel(value), config)
 
     return _sweep(args, "gamma", lambda v: field_problem("gamma", v), solve_at)
 
 
 def _cmd_sweep_tau(args) -> int:
-    def solve_at(scenario, value, config):
+    # continuation: only tau_c changes along the grid, so each point starts
+    # from the last point's plan
+    def solve_at(scenario, value, config, previous):
         network = TransportNetwork(
             scenario.network.targets,
             tuple(replace(s, weight_tau=value) for s in scenario.network.sources),
             scenario.network.edges,
         )
-        return centralized.solve_op_b(network, scenario.behavior, config)
+        start = None if previous is None else previous.plan
+        return centralized.solve_op_b(network, scenario.behavior, config, start)
 
     return _sweep(args, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]", solve_at)
 

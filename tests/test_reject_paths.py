@@ -4,6 +4,7 @@ checks, op_b's aggregate feasibility check, aborted and malformed sweeps,
 and the message bus's delivery checks."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from secalloc.model import (
     SourceSpec,
     TargetSpec,
     TransportNetwork,
+    _plan_totals,
 )
-from secalloc.scenario_io import build_case_study, parse_scenario
+from secalloc.scenario_io import ScenarioFile, build_case_study, parse_scenario, write_scenario
 
 PROB = AttackProbabilityModel.exponential(1.0)
 CASE_STUDY = os.path.join(os.path.dirname(__file__), "..", "scenarios", "case_study.yaml")
@@ -178,6 +180,54 @@ class TestSweeps:
             f"aborted: gamma={grid[stop]:g} did not converge "
             f"(op_a solve did not converge in {cap} iterations); partial output in {out}\n"
         )
+
+    def test_aborted_tau_sweep_writes_the_warm_rows_before_it_and_exits_5(self, tmp_path, capsys):
+        # sweep-tau starts each point from the last point's plan: cap the
+        # iterations at what the first (cold) point needs, so that the first
+        # warm point that needs more ends the sweep there. Slopes that differ
+        # by target make the optimum move along the grid
+        network, behavior = build_case_study()
+        slopes = {"t1": 0.2, "t2": 0.5, "t3": 1.0, "t4": 1.5, "t5": 2.0}
+        sources = (replace(network.sources[0], utility_coeffs=slopes), *network.sources[1:])
+        sloped = TransportNetwork(network.targets, sources, network.edges)
+        path = tmp_path / "slopes.yaml"
+        path.write_text(write_scenario(ScenarioFile(sloped, behavior, True, {}, {})))
+        grid = np.linspace(0.3, 1.0, 25)
+        reports = []
+        for tau in grid:
+            at = TransportNetwork(
+                network.targets, tuple(replace(s, weight_tau=float(tau)) for s in sources), network.edges
+            )
+            reports.append(solve_op_b(at, behavior, start=reports[-1].plan if reports else None))
+        cap = reports[0].iterations
+        stop = next(k for k, r in enumerate(reports) if r.iterations > cap)
+        assert stop > 1  # warm rows are written before the abort
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-tau", str(path), "--start", "0.3", "--max-iterations", str(cap), "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+        rows = out.read_text().splitlines()
+        assert rows[0].startswith("param,target_t1,")
+        assert [float(r.split(",")[0]) for r in rows[1:]] == pytest.approx(grid[:stop])
+        for row, report in zip(rows[1:], reports):
+            written = [float(v) for v in row.split(",")[1:6]]
+            assert written == pytest.approx(_plan_totals(sloped, report.plan), rel=1e-8)
+        err = capsys.readouterr().err
+        assert err == (
+            f"aborted: tau={grid[stop]:g} did not converge "
+            f"(op_b solve did not converge in {cap} iterations); partial output in {out}\n"
+        )
+
+    @pytest.mark.parametrize("verb, what", [("sweep-gamma", "gamma"), ("sweep-tau", "tau")])
+    @pytest.mark.parametrize("steps", [10**12, 10**19])
+    def test_a_grid_too_large_to_allocate_is_a_scenario_error(self, verb, what, steps, tmp_path, capsys):
+        # 10**12 points is 8 TB of float64, which numpy fails to allocate at
+        # once; past 2**63 numpy refuses the size before it allocates
+        out = tmp_path / "sweep.csv"
+        code = cli.main([verb, CASE_STUDY, "--steps", str(steps), "-o", str(out)])
+        assert code == cli.EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err == f"scenario error:\n{what} grid of {steps} points does not fit in memory\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb, what", [("sweep-gamma", "gamma"), ("sweep-tau", "tau")])
     def test_one_step_is_a_scenario_error(self, verb, what, tmp_path, capsys):

@@ -296,10 +296,8 @@ def message_bus_round(
 def _initial_consensus(network: TransportNetwork) -> np.ndarray:
     # zero unless some lower bound forces a head start (uniform split)
     sources, targets = _bounds(network, "op_b")
-    seed = np.empty(len(network.edges))
-    for positions, lower, _ in targets:
-        seed[positions] = (lower / positions.shape[1])[:, None]
-    for positions, lower, _ in sources:
+    seed = np.zeros(len(network.edges))
+    for positions, lower, _ in targets + sources:
         seed[positions] = np.maximum(seed[positions], (lower / positions.shape[1])[:, None])
     return seed
 

@@ -59,12 +59,6 @@ def _edge_lines(network: TransportNetwork, amounts: Mapping[Tuple[str, str], flo
     return ["plan:", *(f"  {x} {y} {_fmt(amounts[(x, y)])}" for x, y in network.edges)]
 
 
-def _plan_lines(network: TransportNetwork, report: SolveReport) -> List[str]:
-    totals = zip(network.targets, _plan_totals(network, report.plan))
-    aggregates = [f"  {t.id} {_fmt(total)}" for t, total in totals]
-    return _edge_lines(network, report.plan.amounts) + ["aggregates:", *aggregates]
-
-
 def _report_header(mode: str, report: SolveReport) -> List[str]:
     return [
         f"mode: {mode}",
@@ -77,24 +71,27 @@ def _report_header(mode: str, report: SolveReport) -> List[str]:
     ]
 
 
-def _trace_path(args) -> str:
-    return args.trace if args.trace is not None else args.output + ".trace.csv"
+def _write_report(args, network: TransportNetwork, report: SolveReport, lines: List[str]) -> None:
+    """Write ``lines``, the plan and each target's aggregate to OUTPUT, and
+    the report's trace to --trace (default: OUTPUT.trace.csv)."""
+    totals = zip(network.targets, _plan_totals(network, report.plan))
+    aggregates = ["aggregates:", *(f"  {t.id} {_fmt(total)}" for t, total in totals)]
+    _write_lines(args.output, lines + _edge_lines(network, report.plan.amounts) + aggregates)
+    trace = args.trace if args.trace is not None else args.output + ".trace.csv"
+    scenario_io.write_trace_csv(report, trace)
 
 
-def _cmd_solve(args) -> int:
-    scenario = _load_scenario(args.scenario)
+def _cmd_solve(args, scenario: scenario_io.ScenarioFile) -> int:
     mode = args.mode or scenario.solver.get("mode", "op_a")
     config = _config(centralized.SolverConfig, scenario.solver, args)
     solve = centralized.solve_op_a if mode == "op_a" else centralized.solve_op_b
     report = solve(scenario.network, scenario.behavior, config)
-    _write_lines(args.output, _report_header(mode, report) + _plan_lines(scenario.network, report))
-    scenario_io.write_trace_csv(report, _trace_path(args))
+    _write_report(args, scenario.network, report, _report_header(mode, report))
     print(f"converged in {report.iterations} iterations; wrote {args.output}")
     return EXIT_OK
 
 
-def _cmd_waterfill(args) -> int:
-    scenario = _load_scenario(args.scenario)
+def _cmd_waterfill(args, scenario: scenario_io.ScenarioFile) -> int:
     network, behavior = scenario.network, scenario.behavior
     trace = waterfill.waterfill_allocate(network, behavior)
     order = trace.activation_order
@@ -111,8 +108,7 @@ def _cmd_waterfill(args) -> int:
     return EXIT_OK
 
 
-def _cmd_admm(args) -> int:
-    scenario = _load_scenario(args.scenario)
+def _cmd_admm(args, scenario: scenario_io.ScenarioFile) -> int:
     config = _config(admm_mod.AdmmConfig, scenario.admm, args)
     report = admm_mod.run_admm(scenario.network, scenario.behavior, config)
     # the verb's flags configure ADMM; the reference solve reads solver: alone
@@ -126,8 +122,7 @@ def _cmd_admm(args) -> int:
         f"centralized_objective: {_fmt(central_objective)}",
         f"relative_gap: {_fmt(gap)}",
     ]
-    _write_lines(args.output, lines + _plan_lines(scenario.network, report))
-    scenario_io.write_trace_csv(report, _trace_path(args))
+    _write_report(args, scenario.network, report, lines)
     print(f"consensus in {report.iterations} iterations; wrote {args.output}")
     return EXIT_OK
 
@@ -146,13 +141,12 @@ def _grid(args, what: str, problem) -> np.ndarray:
         raise ScenarioError([f"{what} grid of {args.steps} points does not fit in memory"]) from None
 
 
-def _sweep(args, axis: str, problem, solve_at) -> int:
-    """Solve at each point of the ``axis`` grid in order, ``solve_at(scenario,
-    value, config, previous)`` giving the report, with ``previous`` the last
-    point's report (None at the first), and write one CSV row per point.
+def _sweep(args, scenario: scenario_io.ScenarioFile, axis: str, problem, solve_at) -> int:
+    """Solve at each point of the ``axis`` grid in order, ``solve_at(value,
+    config, previous)`` giving the report, with ``previous`` the last point's
+    report (None at the first), and write one CSV row per point.
     A point that does not converge ends the sweep: the rows before it are
     written, and the exit code is EXIT_NO_CONVERGENCE."""
-    scenario = _load_scenario(args.scenario)
     grid = _grid(args, axis, problem)
     config = _config(centralized.SolverConfig, scenario.solver, args)
     samples: List[scenario_io.SweepSample] = []
@@ -160,7 +154,7 @@ def _sweep(args, axis: str, problem, solve_at) -> int:
     report: Optional[SolveReport] = None
     for value in grid:
         try:
-            report = solve_at(scenario, float(value), config, report)
+            report = solve_at(float(value), config, report)
         except ConvergenceError as exc:
             failure = f"{axis}={value:g} did not converge ({exc})"
             break
@@ -184,18 +178,18 @@ def _sweep(args, axis: str, problem, solve_at) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_gamma(args) -> int:
+def _cmd_sweep_gamma(args, scenario: scenario_io.ScenarioFile) -> int:
     # cold at every point: a warm start saves op_a almost nothing here
-    def solve_at(scenario, value, config, previous):
+    def solve_at(value, config, previous):
         return centralized.solve_op_a(scenario.network, BehavioralModel(value), config)
 
-    return _sweep(args, "gamma", lambda v: field_problem("gamma", v), solve_at)
+    return _sweep(args, scenario, "gamma", lambda v: field_problem("gamma", v), solve_at)
 
 
-def _cmd_sweep_tau(args) -> int:
+def _cmd_sweep_tau(args, scenario: scenario_io.ScenarioFile) -> int:
     # continuation: only tau_c changes along the grid, so each point starts
     # from the last point's plan
-    def solve_at(scenario, value, config, previous):
+    def solve_at(value, config, previous):
         network = TransportNetwork(
             scenario.network.targets,
             tuple(replace(s, weight_tau=value) for s in scenario.network.sources),
@@ -204,7 +198,9 @@ def _cmd_sweep_tau(args) -> int:
         start = None if previous is None else previous.plan
         return centralized.solve_op_b(network, scenario.behavior, config, start)
 
-    return _sweep(args, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]", solve_at)
+    return _sweep(
+        args, scenario, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]", solve_at
+    )
 
 
 def _checked(name: str, convert):
@@ -221,16 +217,17 @@ def _checked(name: str, convert):
     return parse
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, config_cls) -> None:
-    for f in fields(config_cls):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=_checked(f.name, type(f.default)))
-
-
-def _add_grid_flags(parser: argparse.ArgumentParser, start: float, stop: float) -> None:
-    parser.add_argument("--start", type=float, default=start)
-    parser.add_argument("--stop", type=float, default=stop)
-    parser.add_argument("--steps", type=int, default=25)
+# name, help, handler, the config class whose fields become flags, whether
+# the verb writes a trace, and the grid's default (start, stop)
+_VERBS = (
+    ("solve", "centralized solve of a scenario", _cmd_solve, centralized.SolverConfig, True, None),
+    ("waterfill", "analytical water-filling report", _cmd_waterfill, None, False, None),
+    ("admm", "distributed consensus solve", _cmd_admm, admm_mod.AdmmConfig, True, None),
+    ("sweep-gamma", "solve op_a across a gamma grid", _cmd_sweep_gamma, centralized.SolverConfig,
+     False, (0.3, 1.0)),
+    ("sweep-tau", "solve op_b across a tau grid", _cmd_sweep_tau, centralized.SolverConfig,
+     False, (0.0, 1.0)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,41 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Security resource allocation with behavioral planners",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="centralized solve of a scenario")
-    p.add_argument("scenario")
-    p.add_argument("--mode", choices=["op_a", "op_b"])
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
-    _add_config_flags(p, centralized.SolverConfig)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("waterfill", help="analytical water-filling report")
-    p.add_argument("scenario")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_waterfill)
-
-    p = sub.add_parser("admm", help="distributed consensus solve")
-    p.add_argument("scenario")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
-    _add_config_flags(p, admm_mod.AdmmConfig)
-    p.set_defaults(func=_cmd_admm)
-
-    p = sub.add_parser("sweep-gamma", help="solve op_a across a gamma grid")
-    p.add_argument("scenario")
-    p.add_argument("-o", "--output", required=True)
-    _add_grid_flags(p, 0.3, 1.0)
-    _add_config_flags(p, centralized.SolverConfig)
-    p.set_defaults(func=_cmd_sweep_gamma)
-
-    p = sub.add_parser("sweep-tau", help="solve op_b across a tau grid")
-    p.add_argument("scenario")
-    p.add_argument("-o", "--output", required=True)
-    _add_grid_flags(p, 0.0, 1.0)
-    _add_config_flags(p, centralized.SolverConfig)
-    p.set_defaults(func=_cmd_sweep_tau)
-
+    for name, help_text, handler, config_cls, trace, grid in _VERBS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("scenario")
+        if name == "solve":
+            p.add_argument("--mode", choices=["op_a", "op_b"])
+        p.add_argument("-o", "--output", required=True)
+        if trace:
+            p.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
+        if grid:
+            p.add_argument("--start", type=float, default=grid[0])
+            p.add_argument("--stop", type=float, default=grid[1])
+            p.add_argument("--steps", type=int, default=25)
+        for f in fields(config_cls) if config_cls else ():
+            p.add_argument("--" + f.name.replace("_", "-"), type=_checked(f.name, type(f.default)))
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -287,7 +264,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_scenario(args.scenario))
     except ScenarioError as exc:
         print(f"scenario error:\n{exc}", file=sys.stderr)
         return EXIT_SCENARIO

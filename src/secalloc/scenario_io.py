@@ -304,14 +304,11 @@ def _parse_edges(
             continue
         seen.add((x, y))
         edges.append((x, y))
-    wired_targets = {x for x, _ in edges}
-    wired_sources = {y for _, y in edges}
-    for x in target_ids:
-        if x not in wired_targets:
-            diag.add(node, f"target {x!r} has no incident edge")
-    for y in source_ids:
-        if y not in wired_sources:
-            diag.add(node, f"source {y!r} has no incident edge")
+    for kind, ids, end in (("target", target_ids, 0), ("source", source_ids, 1)):
+        wired = {edge[end] for edge in edges}
+        for node_id in ids:
+            if node_id not in wired:
+                diag.add(node, f"{kind} {node_id!r} has no incident edge")
     return False, edges
 
 

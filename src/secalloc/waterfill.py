@@ -30,7 +30,7 @@ from .model import (
     BehavioralModel,
     TargetSpec,
     TransportNetwork,
-    marginal_perceived_cost,
+    marginal_perceived_cost,  # noqa: F401
     psi,
     psi_slope,
 )
@@ -64,17 +64,22 @@ def _level_inverse(
     return big_l, np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
 
 
+def _zero_levels(targets: Sequence[TargetSpec], gamma: float) -> np.ndarray:
+    """log U + psi(L(0)) of each target: log(-marginal) at zero, finite where
+    the marginal itself overflows. Every model is of one family."""
+    l_zero = np.array([t.prob_model.neg_log_probability(0.0) for t in targets])
+    log_u = np.log([t.loss_value for t in targets])
+    return log_u + psi(l_zero, gamma, targets[0].prob_model.log_rate_slope)
+
+
 def _threshold_matrix(
     rows: Sequence[TargetSpec], cols: Sequence[TargetSpec], gamma: float
 ) -> np.ndarray:
     """theta[a, b]: the amount at which rows[a]'s marginal falls to cols[b]'s
     at zero, 0.0 where it already sits at or above it. The rows share one
     probability model, and every model is of one family."""
-    l_zero = np.array([t.prob_model.neg_log_probability(0.0) for t in cols])
-    col_psi = psi(l_zero, gamma, cols[0].prob_model.log_rate_slope)
-    col_level = np.log([t.loss_value for t in cols]) + col_psi
-    row_log_u = np.log([t.loss_value for t in rows])
-    return _level_inverse(rows[0].prob_model, gamma, col_level - row_log_u[:, None])[1]
+    level = _zero_levels(cols, gamma) - np.log([t.loss_value for t in rows])[:, None]
+    return _level_inverse(rows[0].prob_model, gamma, level)[1]
 
 
 def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
@@ -92,8 +97,8 @@ def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
         raise PreconditionError(
             "threshold requires probability models of the same family"
         )
-    rhs = marginal_perceived_cost(j, behavior, 0.0)
-    if marginal_perceived_cost(i, behavior, 0.0) >= rhs:
+    level_i, level_j = _zero_levels([i, j], behavior.gamma)
+    if level_i <= level_j:
         raise PreconditionError(
             "marginal ordering violated at zero allocation; "
             "are the probability models identical?"

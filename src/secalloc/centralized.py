@@ -18,6 +18,7 @@ source and target multipliers are updated in turn until they settle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,10 @@ _BB_KAPPA = 0.7  # take BB1 where BB2 / BB1 = cos^2(s, y) falls below this
 _STALL_ITERATIONS = 10
 _SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
 _MAX_CYCLES = 10000
+# margin of an unbindable target cap over its sources' caps: their projected
+# amounts can sum above a cap by n ulps of the largest of n entries, n 2e-11
+# of it on a point 1e5 times the supply out (alpha 1e2 on a gradient of 1e3)
+_UNBINDABLE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,20 @@ def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarra
 def _make_objective(
     network: TransportNetwork, behavior: BehavioralModel, mode: str
 ) -> Tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """The mode's objective and gradient, for all targets at once (EdgeIndex)."""
+    """The mode's objective and gradient, for all targets at once (EdgeIndex).
+    The gradient at the array the objective last took (unchanged since)
+    reuses its L: _pgd makes a new array for each point."""
     index, gamma, op_b = network.edge_index, behavior.gamma, mode == "op_b"
+    last: list = [None, None]  # the objective's last point and its L
 
     def objective(x: np.ndarray) -> float:
-        perceived, utility = _loss_and_utility(network, x, gamma)
-        return perceived - utility if op_b else perceived
+        last[:] = x, index.neg_log_p(index.totals(x))
+        perceived = index.loss_at_l(last[1], gamma)
+        return perceived - float(index.tau_c @ x) if op_b else perceived
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        g = index.marginals(index.totals(x), gamma)[index.edge_targets]
+        big_l = last[1] if x is last[0] else index.neg_log_p(index.totals(x))
+        g = index.marginals_at_l(big_l, gamma)[index.edge_targets]
         return g - index.tau_c if op_b else g
 
     return objective, gradient
@@ -139,9 +149,15 @@ def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
     entries with u_k > theta_k, at least 1. A zero total, or one below the
     rounding of u_1, counts none and takes u_1 - total, which clears the row."""
     u = np.sort(rows, axis=1)[:, ::-1]
-    thetas = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, rows.shape[1] + 1)
+    thetas = (np.cumsum(u, axis=1) - totals[:, None]) / _arange(rows.shape[1] + 1)[1:]
     count = (u > thetas).sum(axis=1)
-    return thetas[np.arange(len(rows)), np.maximum(count - 1, 0)]
+    return thetas[_arange(len(rows)), np.maximum(count - 1, 0)]
+
+
+@lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """np.arange(n), built once per length and read-only."""
+    return np.broadcast_to(np.arange(n), n)  # a view numpy marks read-only
 
 
 def _shifts(v: np.ndarray, groups: list):
@@ -151,8 +167,8 @@ def _shifts(v: np.ndarray, groups: list):
     for positions, lower, upper in groups:
         rows = v[positions]
         s = np.maximum(rows, 0.0).sum(axis=1)
-        off = (s < lower) | (s > upper)
-        theta = _row_thresholds(rows, np.where(s > upper, upper, lower)) if off.any() else 0.0
+        off = (s < lower) | (above := s > upper)
+        theta = _row_thresholds(rows, np.where(above, upper, lower)) if off.any() else 0.0
         yield positions, np.where(off, theta, 0.0)
 
 
@@ -165,13 +181,15 @@ def _make_projector(
     the multiplier of its source (lam) and of its target (mu). Given mu,
     each source's lam is one shift, and given lam so is each target's mu;
     alternating the two is coordinate ascent on the dual (Dykstra's method).
-    Each side's shifts are computed a degree group at a time. op_a has no
-    targets, so one pass is exact. mu is kept across calls: each PGD step
-    starts from the last step's multipliers. An op_b network whose totals
-    cannot meet is rejected here, before any projection spins on it."""
+    Each side's shifts are computed a degree group at a time, over the
+    targets that can bind (_bindable): with none, as in op_a, one pass is
+    exact. mu is kept across calls: each PGD step starts from the last
+    step's multipliers. An op_b network whose totals cannot meet is
+    rejected here, before any projection spins on it."""
     sources, targets = _bounds(network, mode)
     if mode == "op_b":
         _check_op_b_feasible(network)
+        targets = _bindable(network, sources, targets)
     lam = np.zeros(len(network.edges))
     mu = np.zeros(len(network.edges))
 
@@ -186,13 +204,28 @@ def _make_projector(
             for positions, theta in _shifts(v, targets):
                 moved = max(moved, float(np.abs(theta - mu[positions[:, 0]]).max()))
                 mu[positions] = theta[:, None]
-            if not targets or moved <= _SETTLE_TOL * max(
+            if moved == 0.0 or moved <= _SETTLE_TOL * max(
                 np.abs(z).max(), np.abs(lam).max(), np.abs(mu).max()
             ):
                 return np.maximum(v - mu, 0.0)
         raise InfeasibleError(f"projection did not settle in {_MAX_CYCLES} cycles")
 
     return project
+
+
+def _bindable(network: TransportNetwork, sources: list, targets: list) -> list:
+    """The targets that can bind, by group: after a source pass an edge
+    carries at most its source's total, so one with no floor and a cap over
+    its sources' caps keeps mu 0, and the projection is the same without it."""
+    cap = np.empty(len(network.edges))
+    for positions, _, upper in sources:
+        cap[positions] = upper[:, None]
+    kept = []
+    for positions, lower, upper in targets:
+        keep = (lower > 0.0) | (upper <= (1.0 + _UNBINDABLE_RTOL) * cap[positions].sum(axis=1))
+        if keep.any():
+            kept.append((positions[keep], lower[keep], upper[keep]))
+    return kept
 
 
 def _pgd(

@@ -402,8 +402,8 @@ class EdgeIndex:
     node's own slice. ``tau_c`` holds the per-edge utility weight
     tau_y * c_xy; ``edge_targets`` each edge's target position. Per
     target, in listed order, ``loss_values``, ``baselines`` and
-    ``log_rate_slopes`` (k) feed the kernel. Built by
-    :class:`TransportNetwork`; the arrays are read-only.
+    ``log_rate_slopes`` (k; ``logged`` where k != 0) feed the kernel. Built
+    by :class:`TransportNetwork`; the arrays are read-only.
     """
 
     def __init__(
@@ -433,7 +433,9 @@ class EdgeIndex:
         self.loss_values = np.array([t.loss_value for t in network.targets])
         self.baselines = np.array([t.prob_model.baseline for t in network.targets])
         self.log_rate_slopes = np.array([t.prob_model.log_rate_slope for t in network.targets])
-        per_target = (self.edge_targets, self.loss_values, self.baselines, self.log_rate_slopes)
+        self.logged = self.log_rate_slopes != 0.0
+        per_target = (self.edge_targets, self.loss_values, self.baselines)
+        per_target += (self.log_rate_slopes, self.logged)
         groups = self.target_groups + self.source_groups
         for array in (*self.source_indices, tau_c, *per_target, *(a for g in groups for a in g)):
             array.flags.writeable = False
@@ -451,15 +453,20 @@ class EdgeIndex:
     def neg_log_p(self, totals: np.ndarray) -> np.ndarray:
         """L = -log p at each target's total (see AttackProbabilityModel)."""
         big_l = totals + self.baselines
-        return np.log(big_l, out=big_l, where=self.log_rate_slopes != 0.0)
+        return np.log(big_l, out=big_l, where=self.logged)
 
     def loss_at(self, totals: np.ndarray, gamma: float) -> float:
         """The perceived loss  sum_x U_x w(p_x)  at the targets' totals."""
-        return float(self.loss_values @ weight_at(self.neg_log_p(totals), gamma))
+        return self.loss_at_l(self.neg_log_p(totals), gamma)
+
+    def loss_at_l(self, big_l: np.ndarray, gamma: float) -> float:
+        return float(self.loss_values @ weight_at(big_l, gamma))
 
     def marginals(self, totals: np.ndarray, gamma: float) -> np.ndarray:
         """d(U w(p))/dt of each target at its total, -U exp(psi(L))."""
-        big_l = self.neg_log_p(totals)
+        return self.marginals_at_l(self.neg_log_p(totals), gamma)
+
+    def marginals_at_l(self, big_l: np.ndarray, gamma: float) -> np.ndarray:
         return -self.loss_values * np.exp(psi(big_l, gamma, self.log_rate_slopes))
 
     def to_plan(self, x: np.ndarray) -> "AllocationPlan":

@@ -27,6 +27,7 @@ WORKLOAD_RUNS += [(name, seed) for seed in (2, 3) for name in ("consensus", "op_
 # README's Known limits for admm, complete: (name, loss values, supplies, family, baseline, gamma)
 KNOWN_LIMITS = [(f"U {u:g} and 0.75 U, source 1, gamma 0.5", [u, 0.75 * u], [1], "exponential", 1.0, 0.5)
                 for u in (1e4, 1e5, 1e6)]
+KNOWN_LIMITS += [("U 1e17 and 0.75 U, source 1, gamma 0.5", [1e17, 0.75e17], [1], "exponential", 1.0, 0.5)]
 KNOWN_LIMITS += [(f"U 12/9 {family} r {r:g}, source {q:g}, gamma 0.5", [12, 9], [q], family, r, 0.5)
                  for family, r in (("exponential", 1.0), ("reciprocal", 2.0)) for q in (700, 1e4)]
 KNOWN_LIMITS += [(f"U 1/0.5, source {q:g}, gamma {g:g}", [1, 0.5], [q], "exponential", 1.0, g)

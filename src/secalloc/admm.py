@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .centralized import _bounds, _finite, _make_objective, _make_projector, _report, _shifts
+from .centralized import _bounds, _finite, _make_projector, _report, _shifts
 from .centralized import project_box_sum
 from .errors import ConvergenceError, DomainError, MissingMessageError
 from .model import (
@@ -45,6 +45,7 @@ from .model import (
     check_fields,
     marginal_perceived_cost,
     psi_slope,
+    weight_at,
     # kept importable: bench/tracing.py wraps these names here
     perceived_loss,  # noqa: F401
     prelec_weight,  # noqa: F401
@@ -75,6 +76,9 @@ _BALANCE_RATIO = 10.0
 # the bus over-relaxes each proposal by this factor toward the previous
 # consensus; 1.5 takes a third fewer rounds than plain averaging (1.0)
 _RELAXATION = 1.5
+
+# the most consensus floats run_admm holds for its batched trace objective
+_TRACE_BATCH = 1 << 20
 
 # Newton stops on a step below this fraction of max(S, |shift|), F's scale
 _ROOT_RTOL = 1e-15
@@ -193,16 +197,19 @@ def _target_newton(
     demand bounds S is clamped to them, where the perceived cost is
     constant: v is the projection of b onto {v >= 0, sum v = bound}."""
     model = spec.prob_model
-    gamma, k = behavior.gamma, model.log_rate_slope
+    gamma, k, baseline = behavior.gamma, model.log_rate_slope, model.baseline
 
     def newton(total: float) -> Tuple[float, float]:
         # the shift g'(S)/eta at S and the Newton step -F(S)/F'(S), with
-        # F' = 1 + n_active g''(S)/eta and g'' = g' psi_slope(L) exp(k L)
+        # F' = 1 + n_active g''(S)/eta and g'' = g' psi_slope(L) exp(k L);
+        # L is model.neg_log_probability(total), and exp(k L) is 1 at k = 0
         marginal = marginal_perceived_cost(spec, behavior, total)
         shift = marginal / eta
         active = [x - shift for x in b if x > shift]
-        big_l = model.neg_log_probability(total)
-        curvature = marginal * psi_slope(big_l, gamma, k) * math.exp(k * big_l)
+        big_l = math.log(total + baseline) if k else total + baseline
+        curvature = marginal * psi_slope(big_l, gamma, k)
+        if k:
+            curvature *= math.exp(k * big_l)
         return shift, (sum(active) - total) / (1.0 + len(active) * curvature / eta)
 
     total = start_total
@@ -302,6 +309,25 @@ def _initial_consensus(network: TransportNetwork) -> np.ndarray:
     return seed
 
 
+def _trace_records(index, gamma: float, rounds) -> List[TraceRecord]:
+    """The trace records of (iteration, primal, consensus) rounds, with
+    _make_objective's op_b objective at each consensus bit for bit, in one
+    evaluation for all: each row of every target group sums as that
+    group's rows do, and each dot product takes one row."""
+    if not rounds:
+        return []
+    x = np.array([consensus for _, _, consensus in rounds])
+    totals = np.empty((len(rounds), len(index.target_slices)))
+    for nodes, positions in index.target_groups:
+        # np.take lays each row's edges out contiguously, as x[positions] does
+        totals[:, nodes] = np.take(x, positions, axis=1).sum(axis=2)
+    weights = weight_at(index.neg_log_p(totals), gamma)
+    return [
+        TraceRecord(iteration, primal, float(index.loss_values @ w) - float(index.tau_c @ c))
+        for (iteration, primal, _), w, c in zip(rounds, weights, x)
+    ]
+
+
 def _out_of_range(iteration: int, eta: float, why: str, trace) -> ConvergenceError:
     """The error that ends a run whose iterates left the float range: at a
     tiny penalty, alpha / eta overflows or a target's total runs to where
@@ -347,9 +373,17 @@ def run_admm(
     duals = np.zeros(len(index.edges))
     source_props = np.empty(len(index.edges))
 
-    objective, _ = _make_objective(network, behavior, "op_b")
     eta = config.eta
+    # each round's objective enters the trace in one batched evaluation, at
+    # the end or when the held consensus arrays reach _TRACE_BATCH floats
     trace: List[TraceRecord] = []
+    rounds: List[Tuple[int, float, np.ndarray]] = []  # not yet in the trace
+
+    def traced() -> List[TraceRecord]:
+        trace.extend(_trace_records(index, behavior.gamma, rounds))
+        rounds.clear()
+        return trace
+
     for iteration in range(1, config.max_iterations + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             b = (consensus - duals / eta).tolist()
@@ -366,7 +400,7 @@ def run_admm(
             for positions, theta in _shifts(_finite(shifted), sources):
                 source_props[positions] = np.maximum(shifted[positions] - theta[:, None], 0.0)
         except DomainError as exc:
-            raise _out_of_range(iteration, eta, str(exc), trace) from exc
+            raise _out_of_range(iteration, eta, str(exc), traced()) from exc
         previous = consensus
         with np.errstate(over="ignore", invalid="ignore"):
             # the bus's relaxed proposals, averaged and priced as it does
@@ -375,13 +409,15 @@ def run_admm(
             duals = duals + 0.5 * eta * (target - source)
             primal = float(np.abs(target_props - source_props).max())
         if not np.isfinite(consensus).all():
-            raise _out_of_range(iteration, eta, "the consensus is not finite", trace)
+            raise _out_of_range(iteration, eta, "the consensus is not finite", traced())
 
         drift = float(np.abs(consensus - previous).max())
-        trace.append(TraceRecord(iteration, primal, objective(consensus)))
+        rounds.append((iteration, primal, consensus))
         if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:
             # the consensus meets each bound only to within the tolerances
-            return _report(network, behavior, project(consensus), iteration, trace)
+            return _report(network, behavior, project(consensus), iteration, traced())
+        if len(rounds) * len(consensus) >= _TRACE_BATCH:
+            traced()
         if iteration <= _BALANCE_ROUNDS:
             # the duals are prices, not scaled by eta, so they carry over
             if primal > _BALANCE_RATIO * eta * drift:
@@ -390,5 +426,5 @@ def run_admm(
                 eta *= 0.5
     raise ConvergenceError(
         f"consensus not reached in {config.max_iterations} iterations",
-        trace=trace,
+        trace=traced(),
     )

@@ -483,8 +483,18 @@ def _record_doc(record) -> Dict[str, object]:
     }
 
 
+# libyaml's emitter writes the pure emitter's bytes several times faster,
+# except on some ids: an empty mapping key, "\r", long strings with
+# non-printable characters, and lone surrogates, which it cannot encode
+_LibyamlDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def write_scenario(scenario: ScenarioFile) -> str:
-    """Canonical serialization; parse(write(x)) == x for valid scenarios."""
+    """Canonical serialization; parse(write(x)) == x for valid scenarios.
+
+    Written by libyaml's emitter where PyYAML has it and every id is
+    non-empty and printable, else by the pure emitter: the same bytes as
+    ``yaml.safe_dump`` either way."""
     doc: Dict[str, object] = {
         "behavior": _record_doc(scenario.behavior),
         "targets": [_record_doc(t) for t in scenario.network.targets],
@@ -497,7 +507,9 @@ def write_scenario(scenario: ScenarioFile) -> str:
         doc["solver"] = dict(scenario.solver)
     if scenario.admm:
         doc["admm"] = dict(scenario.admm)
-    return yaml.safe_dump(doc, default_flow_style=False, sort_keys=False)
+    ids = [node.id for node in (*scenario.network.targets, *scenario.network.sources)]
+    dumper = _LibyamlDumper if all(i and i.isprintable() for i in ids) else yaml.SafeDumper
+    return yaml.dump(doc, Dumper=dumper, default_flow_style=False, sort_keys=False)
 
 
 def build_case_study() -> Tuple[TransportNetwork, BehavioralModel]:

@@ -473,10 +473,15 @@ class EdgeIndex:
         return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
 
     def to_vector(self, plan: "AllocationPlan") -> np.ndarray:
-        """The plan's amounts in edge order; PlanMismatchError unless it has these edges."""
-        if set(plan.amounts) != set(self.edges):
-            raise PlanMismatchError("plan edges differ from network edges")
-        return np.array([plan.amounts[e] for e in self.edges], dtype=float)
+        """The plan's amounts in edge order; PlanMismatchError unless it has
+        these edges: as many as the network, each of the network's found."""
+        amounts = plan.amounts
+        if len(amounts) == len(self.edges):
+            try:
+                return np.array([amounts[e] for e in self.edges], dtype=float)
+            except KeyError:
+                pass
+        raise PlanMismatchError("plan edges differ from network edges")
 
 
 @dataclass(frozen=True)
@@ -538,14 +543,6 @@ def _checked_totals(network: TransportNetwork, x: np.ndarray) -> np.ndarray:
 
 def _plan_totals(network: TransportNetwork, plan: AllocationPlan) -> List[float]:
     return _checked_totals(network, network.edge_index.to_vector(plan)).tolist()
-
-
-def _loss_and_utility(
-    network: TransportNetwork, x: np.ndarray, gamma: float
-) -> Tuple[float, float]:
-    """Perceived loss and source utility  sum tau_y c_xy pi_xy  of the edge vector x."""
-    index = network.edge_index
-    return index.loss_at(index.totals(x), gamma), float(index.tau_c @ x)
 
 
 def true_loss(network: TransportNetwork, plan: AllocationPlan) -> float:

@@ -10,7 +10,10 @@ import math
 
 import pytest
 
-from secalloc.centralized import feasibility_violation, kkt_residual, project_feasible
+from secalloc.admm import run_admm
+from secalloc.centralized import (
+    feasibility_violation, kkt_residual, project_feasible, solve_op_a, solve_op_b,
+)
 from secalloc.errors import DomainError, PlanMismatchError
 from secalloc.model import AllocationPlan, perceived_loss, true_loss
 from secalloc.scenario_io import build_case_study
@@ -66,3 +69,20 @@ def test_a_negative_total_does_not_stop_the_projection_or_the_violation():
     plan = AllocationPlan({e: -3.0 if e == ("t2", "s1") else 0.0 for e in NETWORK.edges})
     assert feasibility_violation(NETWORK, plan, "op_b") == 3.0
     assert all(v >= 0.0 for v in project_feasible(plan, NETWORK, "op_b").amounts.values())
+
+
+@pytest.mark.parametrize("name", [*PLAN_FUNCTIONS, "solve_op_b start"])
+def test_a_plan_with_one_edge_swapped_for_a_foreign_one_is_rejected(name):
+    # as many edges as the network, so only the lookup of each edge can tell
+    plan = _plan(amounts={("t1", "s9"): 0.5}, drop=[NETWORK.edges[3]])
+    assert len(plan.amounts) == len(NETWORK.edges)
+    call = PLAN_FUNCTIONS.get(name, lambda plan: solve_op_b(NETWORK, BEHAVIOR, start=plan))
+    with pytest.raises(PlanMismatchError, match="plan edges differ from network edges"):
+        call(plan)
+
+
+@pytest.mark.parametrize("solve", [solve_op_a, solve_op_b, run_admm], ids=["op_a", "op_b", "admm"])
+def test_a_report_is_scored_by_the_public_loss_functions(solve):
+    report = solve(NETWORK, BEHAVIOR)
+    assert report.true_loss == true_loss(NETWORK, report.plan)
+    assert report.perceived_loss == perceived_loss(NETWORK, report.plan, BEHAVIOR)

@@ -13,7 +13,9 @@ sys.path, and records what TREE's code prints or raises:
   seed-2 and seed-3 calls of the two that run admm;
 * run_admm on KNOWN_LIMITS and the binding-cap networks: exit or rounds, and
   the aggregate error against waterfill (or op_b) relative to the budget. A
-  change to the round rule can turn an exit 5 into a quiet wrong answer.
+  change to the round rule can turn an exit 5 into a quiet wrong answer. So
+  can one to op_a's stop rule: where waterfill applies, each row adds
+  solve_op_a's exit or iterations and aggregate error.
 """
 
 import contextlib, csv, difflib, functools, hashlib, io, os, subprocess, sys, tempfile  # noqa: E401
@@ -24,7 +26,7 @@ VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-g
 WORKLOAD_RUNS = [(name, 1) for name in ("complete-sweep", "bounded-sparse", "consensus", "op_b-defect")]
 WORKLOAD_RUNS += [(name, seed) for seed in (2, 3) for name in ("consensus", "op_b-defect")]
 
-# README's Known limits for admm, complete: (name, loss values, supplies, family, baseline, gamma)
+# README's Known limits for admm and op_a, complete: (name, loss values, supplies, family, baseline, gamma)
 KNOWN_LIMITS = [(f"U {u:g} and 0.75 U, source 1, gamma 0.5", [u, 0.75 * u], [1], "exponential", 1.0, 0.5)
                 for u in (1e4, 1e5, 1e6)]
 KNOWN_LIMITS += [("U 1e17 and 0.75 U, source 1, gamma 0.5", [1e17, 0.75e17], [1], "exponential", 1.0, 0.5)]
@@ -36,6 +38,8 @@ KNOWN_LIMITS += [
     ("U 12/9/4, supplies 1e-30/5e-31, gamma 0.5", [12, 9, 4], [1e-30, 5e-31], "exponential", 1.0, 0.5),
     ("U 12/6, baseline 5e-324, source 1, gamma 0.001", [12, 6], [1], "exponential", 5e-324, 0.001),
 ]
+KNOWN_LIMITS += [(f"U 12/6/1e-9, baseline 1e-20, source 1, gamma {g:g}", [12, 6, 1e-9], [1], "exponential", 1e-20, g)
+                 for g in (0.01, 0.1)]
 
 
 def run_cli(tree, argv, module=False):
@@ -114,6 +118,17 @@ def known_limits(tree):
     cases = [(name, complete(*network), gamma) for name, *network, gamma in KNOWN_LIMITS]
     scenarios = {name: scenario_io.parse_scenario(text) for name, text in NETWORKS.items()}
     cases += [(f"binding caps {name}", s.network, s.behavior.gamma) for name, s in scenarios.items()]
+
+    def outcome(solve, unit):  # on the loop's network, against its reference
+        try:
+            report = solve(network, behavior)
+        except errors.ConvergenceError as exc:
+            return f"exit 5 after {len(exc.trace)} {unit} ({exc})"
+        except Exception as exc:
+            return f"{type(exc).__name__} ({exc})"
+        error = max(abs(report.plan.aggregate_at_target(t) - a) for t, a in reference.items())
+        return f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
+
     lines = []
     for name, network, gamma in cases:
         behavior = model.BehavioralModel(gamma)
@@ -123,14 +138,13 @@ def known_limits(tree):
             except errors.PreconditionError:
                 plan = centralized.solve_op_b(network, behavior).plan
                 reference, against = {t.id: plan.aggregate_at_target(t.id) for t in network.targets}, "op_b"
-            report = admm.run_admm(network, behavior)
-            error = max(abs(report.plan.aggregate_at_target(t) - a) for t, a in reference.items())
-            lines.append(f"- {name}: {report.iterations} rounds, "
-                         f"aggregates {error / network.total_supply():.2g} of the budget off {against}")
-        except errors.ConvergenceError as exc:
-            lines.append(f"- {name}: exit 5 after {len(exc.trace)} rounds ({exc})")
         except Exception as exc:
             lines.append(f"- {name}: {type(exc).__name__} ({exc})")
+            continue
+        row = f"- {name}: {outcome(admm.run_admm, 'rounds')}"
+        if against == "waterfill":
+            row += f"; op_a {outcome(centralized.solve_op_a, 'iterations')}"
+        lines.append(row)
     return lines
 
 

@@ -122,10 +122,11 @@ def dual_update(edge: EdgeState, eta: float) -> EdgeState:
     )
 
 
-def _relax(proposal, consensus):
-    """A proposal pulled toward the previous consensus, a p + (1 - a) c:
+def _relax(proposals, consensus):
+    """Each proposal pulled toward the previous consensus, a p + (1 - a) c:
     per edge on the bus, and on edge arrays in run_admm."""
-    return _RELAXATION * proposal + (1.0 - _RELAXATION) * consensus
+    pull = (1.0 - _RELAXATION) * consensus
+    return [_RELAXATION * proposal + pull for proposal in proposals]
 
 
 class _Agent:
@@ -198,8 +199,8 @@ def _target_newton(
     constant: v is the projection of b onto {v >= 0, sum v = bound}."""
     model = spec.prob_model
     gamma, k, baseline = behavior.gamma, model.log_rate_slope, model.baseline
-
-    def newton(total: float) -> Tuple[float, float]:
+    total, steps = start_total, 0
+    while True:
         # the shift g'(S)/eta at S and the Newton step -F(S)/F'(S), with
         # F' = 1 + n_active g''(S)/eta and g'' = g' psi_slope(L) exp(k L);
         # L is model.neg_log_probability(total), and exp(k L) is 1 at k = 0
@@ -210,18 +211,14 @@ def _target_newton(
         curvature = marginal * psi_slope(big_l, gamma, k)
         if k:
             curvature *= math.exp(k * big_l)
-        return shift, (sum(active) - total) / (1.0 + len(active) * curvature / eta)
-
-    total = start_total
-    shift, step = newton(total)
-    if abs(step) > _ROOT_RTOL * max(total, -shift):
-        for _ in range(_MAX_ROOT_STEPS):
-            total = max(total + step, 0.0)
-            shift, step = newton(total)
-            # past the first step the iterates only rise; a step that does
-            # not, by more than the root-find's tolerance, ends the search
-            if step <= _ROOT_RTOL * max(total, -shift):
-                break
+        step = (sum(active) - total) / (1.0 + len(active) * curvature / eta)
+        tolerance = _ROOT_RTOL * max(total, -shift)
+        # the first step goes either way, and one that is nan ends the search;
+        # past it the iterates only rise, and a step that does not, by more
+        # than the tolerance, ends it
+        if steps == _MAX_ROOT_STEPS or (step <= tolerance if steps else not abs(step) > tolerance):
+            break
+        total, steps = max(total + step, 0.0), steps + 1
     bound = min(max(total, spec.demand_lower), spec.demand_upper)
     if bound != total:
         return project_box_sum(np.array(b), bound, bound).tolist()
@@ -288,7 +285,7 @@ def message_bus_round(
         if e not in target_props or e not in source_props:
             raise MissingMessageError(f"edge {e} missing a proposal this round")
         target, source, c = target_props[e], source_props[e], state.consensus
-        relaxed = EdgeState(c, state.dual, _relax(target, c), _relax(source, c))
+        relaxed = EdgeState(c, state.dual, *_relax((target, source), c))
         updated[e] = replace(
             dual_update(consensus_update(relaxed), eta),
             last_target_proposal=target,
@@ -384,13 +381,20 @@ def run_admm(
         rounds.clear()
         return trace
 
+    def points() -> Tuple[List[float], np.ndarray]:
+        """The round's b = consensus - duals/eta and its sources' shifted points."""
+        return (consensus - duals / eta).tolist(), consensus + (index.tau_c + duals) / eta
+
+    nodes = list(zip(network.targets, index.target_slices))
+    # one scope per round: it spans the bus, the penalty update and the next
+    # round's points, which leave the float range at a tiny penalty; the
+    # solves and the report run outside it
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, shifted = points()
     for iteration in range(1, config.max_iterations + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = (consensus - duals / eta).tolist()
-            shifted = consensus + (index.tau_c + duals) / eta
         try:
             amounts: List[float] = []
-            for k, (spec, edges) in enumerate(zip(network.targets, index.target_slices)):
+            for k, (spec, edges) in enumerate(nodes):
                 # each target solves on its own slice of b, as its agent would
                 proposal = _target_newton(spec, behavior, b[edges], totals[k], eta)
                 totals[k] = sum(proposal)
@@ -401,29 +405,32 @@ def run_admm(
                 source_props[positions] = np.maximum(shifted[positions] - theta[:, None], 0.0)
         except DomainError as exc:
             raise _out_of_range(iteration, eta, str(exc), traced()) from exc
-        previous = consensus
+        previous, round_eta = consensus, eta
         with np.errstate(over="ignore", invalid="ignore"):
             # the bus's relaxed proposals, averaged and priced as it does
-            target, source = _relax(target_props, previous), _relax(source_props, previous)
+            target, source = _relax((target_props, source_props), previous)
             consensus = 0.5 * (target + source)
             duals = duals + 0.5 * eta * (target - source)
             primal = float(np.abs(target_props - source_props).max())
-        if not np.isfinite(consensus).all():
-            raise _out_of_range(iteration, eta, "the consensus is not finite", traced())
-
-        drift = float(np.abs(consensus - previous).max())
+            drift = float(np.abs(consensus - previous).max())
+            # previous is finite, so a finite drift (max propagates nan) has a
+            # finite consensus; an infinite one may come from the subtraction
+            finite = math.isfinite(drift) or np.isfinite(consensus).all()
+            if iteration <= _BALANCE_ROUNDS:
+                # the duals are prices, not scaled by eta, so they carry over
+                if primal > _BALANCE_RATIO * eta * drift:
+                    eta *= 2.0
+                elif eta * drift > _BALANCE_RATIO * primal:
+                    eta *= 0.5
+            b, shifted = points()
+        if not finite:
+            raise _out_of_range(iteration, round_eta, "the consensus is not finite", traced())
         rounds.append((iteration, primal, consensus))
-        if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:
+        if primal <= config.primal_tolerance and round_eta * drift <= config.dual_tolerance:
             # the consensus meets each bound only to within the tolerances
             return _report(network, behavior, project(consensus), iteration, traced())
         if len(rounds) * len(consensus) >= _TRACE_BATCH:
             traced()
-        if iteration <= _BALANCE_ROUNDS:
-            # the duals are prices, not scaled by eta, so they carry over
-            if primal > _BALANCE_RATIO * eta * drift:
-                eta *= 2.0
-            elif eta * drift > _BALANCE_RATIO * primal:
-                eta *= 0.5
     raise ConvergenceError(
         f"consensus not reached in {config.max_iterations} iterations",
         trace=traced(),

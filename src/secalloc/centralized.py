@@ -17,6 +17,7 @@ source and target multipliers are updated in turn until they settle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -175,10 +176,11 @@ def _make_projector(
     each source's lam is one shift, and given lam so is each target's mu;
     alternating the two is coordinate ascent on the dual (Dykstra's method).
     Each side's shifts are computed a degree group at a time, over the
-    targets that can bind (_bindable): with none, as in op_a, one pass is
-    exact. mu is kept across calls: each PGD step starts from the last
-    step's multipliers. An op_b network whose totals cannot meet is
-    rejected here, before any projection spins on it."""
+    targets that can bind (_bindable): with none, as in op_a, one source
+    pass is exact and the projection ends after it. mu is kept across
+    calls: each PGD step starts from the last step's multipliers. An op_b
+    network whose totals cannot meet is rejected here, before any
+    projection spins on it."""
     sources, targets = _bounds(network, mode)
     if mode == "op_b":
         _check_op_b_feasible(network)
@@ -189,9 +191,11 @@ def _make_projector(
     def project(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         for _ in range(_MAX_CYCLES):
-            v = z - mu
-            for positions, theta in _shifts(v, sources):
+            # with no target that can bind, mu stays 0 and one source pass is exact
+            for positions, theta in _shifts(z - mu if targets else z, sources):
                 lam[positions] = theta[:, None]
+            if not targets:
+                return np.maximum(z - lam, 0.0)
             v = z - lam
             moved = 0.0
             for positions, theta in _shifts(v, targets):
@@ -280,7 +284,8 @@ def _pgd(
     for iteration in range(1, config.max_iterations + 1):
         p = project(x - alpha * g)
         d = p - x
-        residual = float(np.linalg.norm(d)) / min(alpha, 1.0) / amount
+        # np.linalg.norm of a 1-D float array, without its dispatch
+        residual = math.sqrt(float(d @ d)) / min(alpha, 1.0) / amount
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, None

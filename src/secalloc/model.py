@@ -177,6 +177,11 @@ def psi(big_l, gamma: float, k):
     strictly decreasing and convex for L > 0."""
     # math.log is several times faster than np.log on one float
     log_l = math.log(big_l) if isinstance(big_l, float) else np.log(big_l)
+    return _psi_at(big_l, log_l, gamma, k)
+
+
+def _psi_at(big_l, log_l, gamma: float, k):
+    """psi at L, given log L."""
     return math.log(gamma) + (gamma - 1.0) * log_l - big_l**gamma + k * big_l
 
 
@@ -401,9 +406,9 @@ class EdgeIndex:
     (see ``_degree_groups``): a dense row per node sums bit for bit like the
     node's own slice. ``tau_c`` holds the per-edge utility weight
     tau_y * c_xy; ``edge_targets`` each edge's target position. Per
-    target, in listed order, ``loss_values``, ``baselines`` and
-    ``log_rate_slopes`` (k; ``logged`` where k != 0) feed the kernel. Built
-    by :class:`TransportNetwork`; the arrays are read-only.
+    target, in listed order, ``loss_values`` (and ``neg_loss_values``, -U),
+    ``baselines`` and ``log_rate_slopes`` (k; ``logged`` where k != 0) feed
+    the kernel. Built by :class:`TransportNetwork`; the arrays are read-only.
     """
 
     def __init__(
@@ -431,10 +436,11 @@ class EdgeIndex:
         self.tau_c = tau_c
         self.edge_targets = np.repeat(np.arange(len(sizes)), sizes)
         self.loss_values = np.array([t.loss_value for t in network.targets])
+        self.neg_loss_values = -self.loss_values
         self.baselines = np.array([t.prob_model.baseline for t in network.targets])
         self.log_rate_slopes = np.array([t.prob_model.log_rate_slope for t in network.targets])
         self.logged = self.log_rate_slopes != 0.0
-        per_target = (self.edge_targets, self.loss_values, self.baselines)
+        per_target = (self.edge_targets, self.loss_values, self.neg_loss_values, self.baselines)
         per_target += (self.log_rate_slopes, self.logged)
         groups = self.target_groups + self.source_groups
         for array in (*self.source_indices, tau_c, *per_target, *(a for g in groups for a in g)):
@@ -467,7 +473,7 @@ class EdgeIndex:
         return self.marginals_at_l(self.neg_log_p(totals), gamma)
 
     def marginals_at_l(self, big_l: np.ndarray, gamma: float) -> np.ndarray:
-        return -self.loss_values * np.exp(psi(big_l, gamma, self.log_rate_slopes))
+        return self.neg_loss_values * np.exp(psi(big_l, gamma, self.log_rate_slopes))
 
     def to_plan(self, x: np.ndarray) -> "AllocationPlan":
         return AllocationPlan({e: float(v) for e, v in zip(self.edges, x)})
@@ -573,10 +579,17 @@ def marginal_perceived_cost(
     it overflows (near a subnormal L, as with a baseline of 5e-324). The
     array form, EdgeIndex.marginals, underflows to 0.0 instead.
     """
+    if not total_received >= 0:  # nan too
+        raise DomainError(f"total_received must be >= 0, got {total_received}")
+    # L and k inline, as neg_log_probability and log_rate_slope give them:
+    # this runs once per Newton step of every ADMM target solve
     model = target.prob_model
-    big_l = model._checked_neg_log(total_received)
+    if model.family == "exponential":
+        big_l, k = total_received + model.baseline, 0.0
+    else:
+        big_l, k = math.log(total_received + model.baseline), -1.0
     try:
-        marginal = -target.loss_value * math.exp(psi(big_l, behavior.gamma, model.log_rate_slope))
+        marginal = -target.loss_value * math.exp(_psi_at(big_l, math.log(big_l), behavior.gamma, k))
     except OverflowError:
         marginal = -math.inf
     if not -math.inf < marginal < 0.0:

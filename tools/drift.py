@@ -11,11 +11,13 @@ sys.path, and records what TREE's code prints or raises:
   the last plan, so a change to that start or the step rule moves it quietly;
 * a hash of each seed-1 call of the four benchmark workloads, and of the
   seed-2 and seed-3 calls of the two that run admm;
-* run_admm on KNOWN_LIMITS and the binding-cap networks: exit or rounds, and
-  the aggregate error against waterfill (or op_b) relative to the budget. A
-  change to the round rule can turn an exit 5 into a quiet wrong answer. So
-  can one to op_a's stop rule: where waterfill applies, each row adds
-  solve_op_a's exit or iterations and aggregate error.
+* run_admm on KNOWN_LIMITS and the binding-cap networks: exit or rounds, the
+  aggregate error against waterfill (or op_b) relative to the budget, and how
+  many times it called admm.marginal_perceived_cost, so that a change to the
+  target Newton shows even where the rounds stay. A change to the round rule
+  can turn an exit 5 into a quiet wrong answer. So can one to op_a's stop
+  rule: where waterfill applies, each row adds solve_op_a's exit or
+  iterations and aggregate error.
 """
 
 import contextlib, csv, difflib, functools, hashlib, io, os, subprocess, sys, tempfile  # noqa: E401
@@ -129,6 +131,12 @@ def known_limits(tree):
         error = max(abs(report.plan.aggregate_at_target(t) - a) for t, a in reference.items())
         return f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
 
+    kernel, evaluations = admm.marginal_perceived_cost, [0]
+
+    def counted(target, behavior, total):  # wrapped as tests/test_admm_round_kernel.py does
+        evaluations[0] += 1
+        return kernel(target, behavior, total)
+
     lines = []
     for name, network, gamma in cases:
         behavior = model.BehavioralModel(gamma)
@@ -141,7 +149,11 @@ def known_limits(tree):
         except Exception as exc:
             lines.append(f"- {name}: {type(exc).__name__} ({exc})")
             continue
-        row = f"- {name}: {outcome(admm.run_admm, 'rounds')}"
+        admm.marginal_perceived_cost, evaluations[0] = counted, 0
+        try:
+            row = f"- {name}: {outcome(admm.run_admm, 'rounds')}, {evaluations[0]} marginal evaluations"
+        finally:
+            admm.marginal_perceived_cost = kernel
         if against == "waterfill":
             row += f"; op_a {outcome(centralized.solve_op_a, 'iterations')}"
         lines.append(row)

@@ -411,11 +411,11 @@ def run_admm(
             target, source = _relax((target_props, source_props), previous)
             consensus = 0.5 * (target + source)
             duals = duals + 0.5 * eta * (target - source)
-            primal = float(np.abs(target_props - source_props).max())
-            drift = float(np.abs(consensus - previous).max())
+            primal = float(np.maximum.reduce(np.abs(target_props - source_props)))
+            drift = float(np.maximum.reduce(np.abs(consensus - previous)))
             # previous is finite, so a finite drift (max propagates nan) has a
             # finite consensus; an infinite one may come from the subtraction
-            finite = math.isfinite(drift) or np.isfinite(consensus).all()
+            finite = math.isfinite(drift) or np.logical_and.reduce(np.isfinite(consensus))
             if iteration <= _BALANCE_ROUNDS:
                 # the duals are prices, not scaled by eta, so they carry over
                 if primal > _BALANCE_RATIO * eta * drift:

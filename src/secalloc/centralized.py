@@ -17,6 +17,7 @@ source and target multipliers are updated in turn until they settle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -64,6 +65,7 @@ _MAX_CYCLES = 10000
 # amounts can sum above a cap by n ulps of the largest of n entries, n 2e-11
 # of it on a point 1e5 times the supply out (alpha 1e2 on a gradient of 1e3)
 _UNBINDABLE_RTOL = 1e-6
+_counts = functools.cache(lambda n: np.arange(1.0, n + 1))  # _row_thresholds' 1..n; never written
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def _threshold(v: np.ndarray, total: float) -> float:
 
 def _finite(v: np.ndarray) -> np.ndarray:
     """v, unless an entry is inf or nan: such a vector has no projection."""
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise DomainError("cannot project a vector with an infinite or nan entry")
     return v
 
@@ -134,24 +136,25 @@ def _bounds(network: TransportNetwork, mode: str) -> Tuple[list, list]:
     if mode not in ("op_a", "op_b"):
         raise ValueError(f"unknown mode {mode!r}")
     index, op_b = network.edge_index, mode == "op_b"
-    supply = np.array([(s.supply_lower if op_b else 0.0, s.supply_upper) for s in network.sources])
-    demand = np.array([(t.demand_lower, t.demand_upper) for t in network.targets])
-    sources = [(pos, *supply[nodes].T) for nodes, pos in index.source_groups]
-    targets = [(pos, *demand[nodes].T) for nodes, pos in index.target_groups if op_b]
+    floor = index.supply_lower if op_b else np.zeros(len(network.sources))
+    sources = [(p, floor[n], index.supply_upper[n]) for n, p in index.source_groups]
+    targets = [(p, index.demand_lower[n], index.demand_upper[n])
+               for n, p in index.target_groups if op_b]
     return sources, targets
 
 
 def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Each row's theta at its total, sort-based (Held, Wolfe & Crowder 1974;
     Duchi et al. 2008): max(row - theta, 0) is its projection onto
-    {x >= 0, sum x = total}. With u the row sorted down and theta_k =
-    (u_1 + ... + u_k - total) / k, theta is theta_k at k the count of
-    entries with u_k > theta_k, at least 1. A zero total, or one below the
-    rounding of u_1, counts none and takes u_1 - total, which clears the row."""
-    u = np.sort(rows, axis=1)[:, ::-1]
-    thetas = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, rows.shape[1] + 1)
-    count = (u > thetas).sum(axis=1)
-    return thetas[np.arange(len(rows)), np.maximum(count - 1, 0)]
+    {x >= 0, sum x = total}. With u the row sorted down, theta is the largest
+    theta_k = (u_1 + ... + u_k - total) / k, which rises while u_(k+1) >
+    theta_k and falls after. It is at least u_1 - total: a zero total, or one
+    below the rounding of u_1, clears the row exactly, and an infinite one gives -inf."""
+    # ufunc methods on hot paths: np.sort/cumsum and ndarray.sum/max/any/all add Python frames
+    u = rows.copy()
+    u.sort(axis=1)
+    thetas = (np.add.accumulate(u[:, ::-1], axis=1) - totals[:, None]) / _counts(rows.shape[1])
+    return np.maximum.reduce(thetas, axis=1)
 
 
 def _shifts(v: np.ndarray, groups: list):
@@ -160,9 +163,10 @@ def _shifts(v: np.ndarray, groups: list):
     bound (as in project_box_sum). Yields each group's positions and shifts."""
     for positions, lower, upper in groups:
         rows = v[positions]
-        s = np.maximum(rows, 0.0).sum(axis=1)
+        s = np.add.reduce(np.maximum(rows, 0.0), axis=1)
         off = (s < lower) | (above := s > upper)
-        theta = _row_thresholds(rows, np.where(above, upper, lower)) if off.any() else 0.0
+        any_off = np.logical_or.reduce(off)
+        theta = _row_thresholds(rows, np.where(above, upper, lower)) if any_off else 0.0
         yield positions, np.where(off, theta, 0.0)
 
 
@@ -199,10 +203,10 @@ def _make_projector(
             v = z - lam
             moved = 0.0
             for positions, theta in _shifts(v, targets):
-                moved = max(moved, float(np.abs(theta - mu[positions[:, 0]]).max()))
+                moved = max(moved, float(np.maximum.reduce(np.abs(theta - mu[positions[:, 0]]))))
                 mu[positions] = theta[:, None]
             if moved == 0.0 or moved <= _SETTLE_TOL * max(
-                np.abs(z).max(), np.abs(lam).max(), np.abs(mu).max()
+                np.maximum.reduce(np.abs(a)) for a in (z, lam, mu)
             ):
                 return np.maximum(v - mu, 0.0)
         raise InfeasibleError(f"projection did not settle in {_MAX_CYCLES} cycles")
@@ -289,6 +293,8 @@ def _pgd(
         trace.append(TraceRecord(iteration, residual, fx))
         if residual <= config.gradient_tolerance:
             return x, iteration, trace, None
+        if residual != residual:  # nan: the gradient is not finite, and no step mends it
+            return x, iteration, trace, f"stalled at residual nan, not within {_STALL_RESIDUAL:g}"
         slope, lam = scale * float(g @ d), 1.0
         x_new, f_new = x, fx
         while lam >= _MIN_STEP:

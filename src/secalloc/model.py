@@ -408,7 +408,8 @@ class EdgeIndex:
     tau_y * c_xy; ``edge_targets`` each edge's target position. Per
     target, in listed order, ``loss_values`` (and ``neg_loss_values``, -U),
     ``baselines`` and ``log_rate_slopes`` (k; ``logged`` where k != 0) feed
-    the kernel. Built by :class:`TransportNetwork`; the arrays are read-only.
+    the kernel, and ``demand_lower``/``demand_upper`` (per source, ``supply_lower``/
+    ``supply_upper``) the bounds. Built by :class:`TransportNetwork`; arrays read-only.
     """
 
     def __init__(
@@ -440,17 +441,20 @@ class EdgeIndex:
         self.baselines = np.array([t.prob_model.baseline for t in network.targets])
         self.log_rate_slopes = np.array([t.prob_model.log_rate_slope for t in network.targets])
         self.logged = self.log_rate_slopes != 0.0
-        per_target = (self.edge_targets, self.loss_values, self.neg_loss_values, self.baselines)
-        per_target += (self.log_rate_slopes, self.logged)
+        self.demand_lower = np.array([t.demand_lower for t in network.targets], dtype=float)
+        self.demand_upper = np.array([t.demand_upper for t in network.targets], dtype=float)
+        self.supply_lower = np.array([s.supply_lower for s in network.sources], dtype=float)
+        self.supply_upper = np.array([s.supply_upper for s in network.sources], dtype=float)
+        arrays = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
         groups = self.target_groups + self.source_groups
-        for array in (*self.source_indices, tau_c, *per_target, *(a for g in groups for a in g)):
+        for array in (*self.source_indices, *arrays, *(a for g in groups for a in g)):
             array.flags.writeable = False
 
     def totals(self, x: np.ndarray) -> np.ndarray:
         """Each target's total received amount under the edge vector x."""
         totals = np.empty(len(self.target_slices))
         for nodes, positions in self.target_groups:
-            totals[nodes] = x[positions].sum(axis=1)
+            totals[nodes] = np.add.reduce(x[positions], axis=1)
         return totals
 
     def target_totals(self, x: np.ndarray) -> List[float]:

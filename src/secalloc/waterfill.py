@@ -58,7 +58,7 @@ def _level_inverse(
     for _ in range(_MAX_ROOT_STEPS):
         step = big_l - (psi(big_l, gamma, k) - level) / psi_slope(big_l, gamma, k)
         moved = step > big_l
-        if not moved.any():
+        if not np.logical_or.reduce(moved, axis=None):
             break
         big_l = np.where(moved, step, big_l)
     return big_l, np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
@@ -169,14 +169,14 @@ def _water_profiles(
     last_excess = np.inf
     for _ in range(_MAX_ROOT_STEPS):
         big_l, amounts = _level_inverse(model, gamma, level - log_u)
-        excess = amounts.sum(axis=0) - budgets
+        excess = np.add.reduce(amounts, axis=0) - budgets
         # d spend / d lam: dt/dL = exp(-k L) over dpsi/dL, on the funded targets
         slope = np.where(amounts > 0.0, np.exp(-k * big_l) / psi_slope(big_l, gamma, k), 0.0)
-        slope = slope.sum(axis=0)  # 0 where no target is funded: no step
+        slope = np.add.reduce(slope, axis=0)  # 0 where no target is funded: no step
         step = level - excess / np.where(slope == 0.0, np.inf, slope)
         # a level finer than the amounts resolve leaves the spend unchanged
         moved = (step > level) & (excess < last_excess)
-        if not moved.any():
+        if not np.logical_or.reduce(moved):
             break
         level, last_excess = np.where(moved, step, level), excess
     amounts[0] = budgets - amounts[1:].sum(axis=0)

@@ -45,7 +45,6 @@ from .model import (
     check_fields,
     marginal_perceived_cost,
     psi_slope,
-    weight_at,
     # kept importable: bench/tracing.py wraps these names here
     perceived_loss,  # noqa: F401
     prelec_weight,  # noqa: F401
@@ -308,20 +307,16 @@ def _initial_consensus(network: TransportNetwork) -> np.ndarray:
 
 def _trace_records(index, gamma: float, rounds) -> List[TraceRecord]:
     """The trace records of (iteration, primal, consensus) rounds, with
-    _make_objective's op_b objective at each consensus bit for bit, in one
-    evaluation for all: each row of every target group sums as that
-    group's rows do, and each dot product takes one row."""
+    _make_objective's op_b objective at each consensus bit for bit: each
+    round sums through ``index.totals``, and one ``loss_at_l`` scores all."""
     if not rounds:
         return []
     x = np.array([consensus for _, _, consensus in rounds])
-    totals = np.empty((len(rounds), len(index.target_slices)))
-    for nodes, positions in index.target_groups:
-        # np.take lays each row's edges out contiguously, as x[positions] does
-        totals[:, nodes] = np.take(x, positions, axis=1).sum(axis=2)
-    weights = weight_at(index.neg_log_p(totals), gamma)
+    totals = np.array([index.totals(consensus) for consensus in x])
+    objectives = index.loss_at_l(index.neg_log_p(totals), gamma) - np.vecdot(x, index.tau_c)
     return [
-        TraceRecord(iteration, primal, float(index.loss_values @ w) - float(index.tau_c @ c))
-        for (iteration, primal, _), w, c in zip(rounds, weights, x)
+        TraceRecord(iteration, primal, objective)
+        for (iteration, primal, _), objective in zip(rounds, objectives.tolist())
     ]
 
 

@@ -102,6 +102,8 @@ def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
     """Euclidean projection onto {v >= 0, lower <= sum v <= upper}: the shift
     is 0 when clipping fits, else the threshold onto the nearer bound."""
+    if not (math.isfinite(lower) and lower <= upper):
+        raise DomainError(f"bounds [{lower}, {upper}] allow no finite total")
     v = _finite(np.asarray(values, dtype=float))
     s = float(np.maximum(v, 0.0).sum())
     shift = 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
@@ -119,7 +121,7 @@ def _make_objective(
 
     def objective(x: np.ndarray) -> float:
         last[:] = x, index.neg_log_p(index.totals(x))
-        perceived = index.loss_at_l(last[1], gamma)
+        perceived = float(index.loss_at_l(last[1], gamma))
         return perceived - float(index.tau_c @ x) if op_b else perceived
 
     def gradient(x: np.ndarray) -> np.ndarray:

@@ -467,10 +467,11 @@ class EdgeIndex:
 
     def loss_at(self, totals: np.ndarray, gamma: float) -> float:
         """The perceived loss  sum_x U_x w(p_x)  at the targets' totals."""
-        return self.loss_at_l(self.neg_log_p(totals), gamma)
+        return float(self.loss_at_l(self.neg_log_p(totals), gamma))
 
-    def loss_at_l(self, big_l: np.ndarray, gamma: float) -> float:
-        return float(self.loss_values @ weight_at(big_l, gamma))
+    def loss_at_l(self, big_l: np.ndarray, gamma: float) -> np.ndarray:
+        """The perceived loss at one L vector, or at each row of a stack."""
+        return np.vecdot(weight_at(big_l, gamma), self.loss_values)
 
     def marginals(self, totals: np.ndarray, gamma: float) -> np.ndarray:
         """d(U w(p))/dt of each target at its total, -U exp(psi(L))."""

@@ -14,13 +14,15 @@ sys.path, and records what TREE's code prints or raises:
 * run_admm on KNOWN_LIMITS and the binding-cap networks: exit or rounds, the
   aggregate error against waterfill (or op_b) relative to the budget, and how
   many times it called admm.marginal_perceived_cost, so that a change to the
-  target Newton shows even where the rounds stay. A change to the round rule
+  target Newton shows even where the rounds stay; and how many of its trace's
+  objectives are nan and which RuntimeWarnings the run emits, where the trace
+  scores rounds whose L overflows. A change to the round rule
   can turn an exit 5 into a quiet wrong answer. So can one to op_a's stop
   rule: where waterfill applies, each row adds solve_op_a's exit or
   iterations and aggregate error.
 """
 
-import contextlib, csv, difflib, functools, hashlib, io, os, subprocess, sys, tempfile  # noqa: E401
+import contextlib, csv, difflib, functools, hashlib, io, math, os, subprocess, sys, tempfile, warnings  # noqa: E401
 from pathlib import Path
 
 SCENARIOS = ("case_study", "discrimination", "single_edge")
@@ -75,21 +77,23 @@ def shipped(tree):
         iterations[0] += report.iterations
         return report
 
-    centralized.solve_op_a, centralized.solve_op_b = (
-        functools.partial(counted, solve) for solve in (centralized.solve_op_a, centralized.solve_op_b))
-    lines = []
-    for scenario in SCENARIOS:
-        path = os.path.join(tree, "scenarios", f"{scenario}.yaml")
-        for verb in VERBS:
-            name, iterations[0] = f"{scenario}.{verb.replace(' ', '_')}", 0
-            module = (scenario, verb) == (SCENARIOS[0], VERBS[0])
-            outcome, stdout, stderr = run_cli(tree, [*verb.split(), path, "-o", f"{name}.out"], module)
-            Path(f"{name}.log").write_text(f"{stdout}{stderr}{outcome}\n")
-            if verb.startswith("sweep"):
-                lines.append(f"{name} {outcome}, {iterations[0]} iterations")
-        scenario_file = scenario_io.parse_scenario(Path(path).read_text(encoding="utf-8"))
-        Path(f"{scenario}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
-    return lines
+    lines, solvers = [], (centralized.solve_op_a, centralized.solve_op_b)
+    centralized.solve_op_a, centralized.solve_op_b = (functools.partial(counted, solve) for solve in solvers)
+    try:
+        for scenario in SCENARIOS:
+            path = os.path.join(tree, "scenarios", f"{scenario}.yaml")
+            for verb in VERBS:
+                name, iterations[0] = f"{scenario}.{verb.replace(' ', '_')}", 0
+                module = (scenario, verb) == (SCENARIOS[0], VERBS[0])
+                outcome, stdout, stderr = run_cli(tree, [*verb.split(), path, "-o", f"{name}.out"], module)
+                Path(f"{name}.log").write_text(f"{stdout}{stderr}{outcome}\n")
+                if verb.startswith("sweep"):
+                    lines.append(f"{name} {outcome}, {iterations[0]} iterations")
+            scenario_file = scenario_io.parse_scenario(Path(path).read_text(encoding="utf-8"))
+            Path(f"{scenario}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
+        return lines
+    finally:
+        centralized.solve_op_a, centralized.solve_op_b = solvers
 
 
 def workload_calls(tree):
@@ -121,15 +125,16 @@ def known_limits(tree):
     scenarios = {name: scenario_io.parse_scenario(text) for name, text in NETWORKS.items()}
     cases += [(f"binding caps {name}", s.network, s.behavior.gamma) for name, s in scenarios.items()]
 
-    def outcome(solve, unit):  # on the loop's network, against its reference
+    def outcome(solve, unit):  # on the loop's network, against its reference: the row's text and the trace
         try:
             report = solve(network, behavior)
         except errors.ConvergenceError as exc:
-            return f"exit 5 after {len(exc.trace)} {unit} ({exc})"
+            return f"exit 5 after {len(exc.trace)} {unit} ({exc})", exc.trace
         except Exception as exc:
-            return f"{type(exc).__name__} ({exc})"
+            return f"{type(exc).__name__} ({exc})", []
         error = max(abs(report.plan.aggregate_at_target(t) - a) for t, a in reference.items())
-        return f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
+        text = f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
+        return text, report.residual_trace
 
     kernel, evaluations = admm.marginal_perceived_cost, [0]
 
@@ -151,11 +156,17 @@ def known_limits(tree):
             continue
         admm.marginal_perceived_cost, evaluations[0] = counted, 0
         try:
-            row = f"- {name}: {outcome(admm.run_admm, 'rounds')}, {evaluations[0]} marginal evaluations"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                text, trace = outcome(admm.run_admm, "rounds")
         finally:
             admm.marginal_perceived_cost = kernel
+        nans = sum(math.isnan(record.objective) for record in trace)
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        row = (f"- {name}: {text}, {evaluations[0]} marginal evaluations, {nans} nan objectives, "
+               f"{len(warned)} RuntimeWarning{'s' * (len(warned) != 1)}" + "".join(f" ({m})" for m in dict.fromkeys(warned)))
         if against == "waterfill":
-            row += f"; op_a {outcome(centralized.solve_op_a, 'iterations')}"
+            row += f"; op_a {outcome(centralized.solve_op_a, 'iterations')[0]}"
         lines.append(row)
     return lines
 

@@ -308,12 +308,16 @@ def _initial_consensus(network: TransportNetwork) -> np.ndarray:
 def _trace_records(index, gamma: float, rounds) -> List[TraceRecord]:
     """The trace records of (iteration, primal, consensus) rounds, with
     _make_objective's op_b objective at each consensus bit for bit: each
-    round sums through ``index.totals``, and one ``loss_at_l`` scores all."""
+    round sums through ``index.totals``, and one ``loss_at_l`` scores all.
+    The over-relaxed consensus can put a total below its family's domain,
+    where L < 0 or log(t + r) is undefined; such a target is scored at p = 1."""
     if not rounds:
         return []
     x = np.array([consensus for _, _, consensus in rounds])
     totals = np.array([index.totals(consensus) for consensus in x])
-    objectives = index.loss_at_l(index.neg_log_p(totals), gamma) - np.vecdot(x, index.tau_c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        big_l = np.fmax(index.neg_log_p(totals), 0.0)
+    objectives = index.loss_at_l(big_l, gamma) - np.vecdot(x, index.tau_c)
     return [
         TraceRecord(iteration, primal, objective)
         for (iteration, primal, _), objective in zip(rounds, objectives.tolist())

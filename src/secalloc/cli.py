@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import admm as admm_mod
 from . import centralized, scenario_io, waterfill
 from .errors import ConvergenceError, InfeasibleError, PreconditionError, ScenarioError
-from .model import BehavioralModel, SolveReport, TransportNetwork, _plan_totals, field_problem
+from .model import BehavioralModel, SolveReport, TransportNetwork, _plan_totals, _schema, field_problem
 from .scenario_io import _fmt, _write_lines
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _load_scenario(path: str) -> scenario_io.ScenarioFile:
 
 def _config(config_cls, overrides, args=None):
     """``config_cls`` from the scenario's overrides, then the flags given."""
-    names = [f.name for f in fields(config_cls)]
+    names = _schema(config_cls)[0]
     values = {key: value for key, value in overrides.items() if key in names}
     for name in names:
         if getattr(args, name, None) is not None:
@@ -203,17 +203,17 @@ def _cmd_sweep_tau(args, scenario: scenario_io.ScenarioFile) -> int:
     )
 
 
-def _checked(name: str, convert):
-    """argparse type: ``convert`` the flag's text, then apply FIELD_RULES[name]."""
+def _checked(name: str, annotation):
+    """argparse type: the flag's text as ``annotation``, then FIELD_RULES[name]."""
 
     def parse(text: str):
-        value = convert(text)
+        value = annotation(text)
         problem = field_problem(name, value)
         if problem:
             raise argparse.ArgumentTypeError(f"{problem}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    parse.__name__ = annotation.__name__  # argparse names it in "invalid float value"
     return parse
 
 
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--start", type=float, default=grid[0])
             p.add_argument("--stop", type=float, default=grid[1])
             p.add_argument("--steps", type=int, default=25)
-        for f in fields(config_cls) if config_cls else ():
-            p.add_argument("--" + f.name.replace("_", "-"), type=_checked(f.name, type(f.default)))
+        for key, annotation in _schema(config_cls)[0].items() if config_cls else ():
+            p.add_argument("--" + key.replace("_", "-"), type=_checked(key, annotation))
         p.set_defaults(func=handler)
     return parser
 

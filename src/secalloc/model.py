@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple, get_origin, get_type_hints,
@@ -120,11 +120,14 @@ def bound_problems(values: Mapping[str, object]) -> List[str]:
 
 
 @functools.cache
-def _ruled_fields(cls) -> Tuple[Tuple[str, bool], ...]:
-    """(name, is a mapping) of each field of ``cls`` that FIELD_RULES checks."""
+def _schema(cls) -> Tuple[Dict[str, object], Tuple[str, ...], Tuple[Tuple[str, bool], ...]]:
+    """The fields of the dataclass ``cls``: each with its annotated type, in
+    declaration order; those with no default, which a record requires; and
+    (name, is a mapping) of each that FIELD_RULES checks."""
     types = get_type_hints(cls)
+    required = tuple(f.name for f in fields(cls) if f.default is f.default_factory is MISSING)
     ruled = [name for name in types if name in FIELD_RULES or name == "baseline"]
-    return tuple((name, get_origin(types[name]) is abc.Mapping) for name in ruled)
+    return types, required, tuple((name, get_origin(types[name]) is abc.Mapping) for name in ruled)
 
 
 def check_fields(owner: str, record) -> None:
@@ -133,7 +136,7 @@ def check_fields(owner: str, record) -> None:
     pair of crossed bounds. A mapping field's entries are checked one at a
     time, each named ``field.key``.
     """
-    ruled = _ruled_fields(type(record))
+    ruled = _schema(type(record))[2]
     values = {name: getattr(record, name) for name, _ in ruled}
     family = values.get("family")
     for name, is_mapping in ruled:

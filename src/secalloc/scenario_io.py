@@ -30,9 +30,8 @@ line number before raising, so a broken file can be fixed in one pass.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
+from dataclasses import dataclass, is_dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
@@ -46,6 +45,7 @@ from .model import (
     SourceSpec,
     TargetSpec,
     TransportNetwork,
+    _schema,
     bound_problems,
     field_problem,
 )
@@ -155,14 +155,6 @@ _to_str = _scalar_reader("a string", str)
 _SCALARS = {float: _to_float, int: _to_int, str: _to_str}
 
 
-@functools.cache
-def _schema(cls) -> Tuple[Dict[str, object], Tuple[str, ...]]:
-    """Each field of the dataclass ``cls`` with its type, in declaration
-    order, and the fields with no default, which a record requires."""
-    no_default = (f for f in fields(cls) if f.default is f.default_factory is MISSING)
-    return get_type_hints(cls), tuple(f.name for f in no_default)
-
-
 def _read_record(
     node,
     path: str,
@@ -222,7 +214,7 @@ def _read_list(items, section: str, diag: _Diag, cls, **readers: _Reader) -> Lis
     if not isinstance(node, yaml.SequenceNode) or not node.value:
         diag.add(node, f"{section} must be a non-empty list")
         return []
-    kinds, required = _schema(cls)
+    kinds, required, _ = _schema(cls)
     kinds = {**kinds, **readers}
     records = (
         _read_record(item, f"{section}[{k}]", diag, kinds, required)
@@ -253,7 +245,7 @@ def _new_id(what: str, declared: List[str]) -> _Reader:
 
 
 def _to_prob_model(node, path: str, diag: _Diag) -> Optional[AttackProbabilityModel]:
-    kinds, required = _schema(AttackProbabilityModel)
+    kinds, required, _ = _schema(AttackProbabilityModel)
     if not isinstance(node, yaml.MappingNode):
         diag.add(node, f"{path} must be a mapping with {' and '.join(required)}")
         return None
@@ -433,7 +425,7 @@ def _parse_with(text: str, loader) -> ScenarioFile:
 
     behavior = None
     if "behavior" in items:
-        behavior = _read_record(items["behavior"], "behavior", diag, *_schema(BehavioralModel))
+        behavior = _read_record(items["behavior"], "behavior", diag, *_schema(BehavioralModel)[:2])
     target_ids: List[str] = []
     targets = _read_list(
         items, "targets", diag, TargetSpec,
@@ -476,7 +468,7 @@ def _parse_with(text: str, loader) -> ScenarioFile:
 def _record_doc(record) -> Dict[str, object]:
     """The fields of the dataclass ``record`` in declaration order; a nested
     record or a mapping becomes a dict."""
-    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    values = ((name, getattr(record, name)) for name in _schema(type(record))[0])
     return {
         name: _record_doc(v) if is_dataclass(v) else dict(v) if isinstance(v, Mapping) else v
         for name, v in values

@@ -192,7 +192,16 @@ def summary(root):
              for tree in trees for part in ("stopped", "shipped", "workload_calls", "known_limits")}
     for tree in trees:
         print("".join(f"At {tree}, {line}\n" for line in lines[tree, "stopped"]), end="")
-        print(f"ADMM on the Known-limits networks, {tree}:", *lines[tree, "known_limits"], sep="\n")
+    print("ADMM on the Known-limits networks, HEAD:", *lines["HEAD", "known_limits"], sep="\n")
+    if len(trees) == 2:  # base's rows only where they differ from HEAD's row of the same name
+        head = {row.split(": ", 1)[0]: row for row in lines["HEAD", "known_limits"]}
+        base = lines["base", "known_limits"]
+        moved = [row for row in base if head.get(row.split(": ", 1)[0]) != row]
+        if moved or len(base) != len(head):
+            count = f"{len(base)} row{'s' * (len(base) != 1)}"
+            print(f"ADMM on the Known-limits networks, base ({count}), where it differs from HEAD:", *moved, sep="\n")
+        else:
+            print(f"ADMM on the Known-limits networks, base: all {len(base)} rows match HEAD's")
     runs = {tree: dict(line.split(" ", 1) for line in lines[tree, "shipped"]) for tree in trees}
     print("Sweep drift on the shipped scenarios (op_a iterations for sweep-gamma, op_b for sweep-tau):")
     for sweep in runs["HEAD"]:

@@ -105,6 +105,8 @@ def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarra
     if not (math.isfinite(lower) and lower <= upper):
         raise DomainError(f"bounds [{lower}, {upper}] allow no finite total")
     v = _finite(np.asarray(values, dtype=float))
+    if not (v.size or lower <= 0.0 <= upper):  # an empty vector's only total is 0
+        raise DomainError(f"bounds [{lower}, {upper}] allow no total of an empty vector")
     s = float(np.maximum(v, 0.0).sum())
     shift = 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
     return np.maximum(v - shift, 0.0)

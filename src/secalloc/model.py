@@ -342,6 +342,8 @@ class TransportNetwork:
             raise DomainError("duplicate source ids")
         seen = set()
         for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                raise DomainError(f"edge {edge!r} is not a (target, source) pair")
             x, y = edge
             if x not in tpos:
                 raise DomainError(f"edge {edge} references unknown target {x!r}")

@@ -2,6 +2,7 @@
 
     python tools/drift.py collect TREE OUT   # run TREE's code, record it in OUT
     python tools/drift.py summary DIR        # DIR/base against DIR/HEAD, or DIR/HEAD alone
+    python tools/drift.py pairs BASE HEAD OUT   # time BASE against HEAD, into OUT/pairs.json
 
 collect runs in one interpreter with TREE's src, tests and bench first on
 sys.path, and records what TREE's code prints or raises:
@@ -20,11 +21,16 @@ sys.path, and records what TREE's code prints or raises:
   can turn an exit 5 into a quiet wrong answer. So can one to op_a's stop
   rule: where waterfill applies, each row adds solve_op_a's exit or
   iterations and aggregate error.
+
+pairs runs each tree's own bench/run.py (RUN) on each workload of BENCHMARK.json,
+one pair per seed, BASE first at odd seeds; summary adds a verdict per metric.
 """
 
-import contextlib, csv, difflib, functools, hashlib, io, math, os, subprocess, sys, tempfile, warnings  # noqa: E401
+import contextlib, csv, difflib, functools, hashlib, io, json, math, os, statistics, subprocess, sys, tempfile, warnings  # noqa: E401
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds 5 --trace 0", range(11, 21)
 SCENARIOS = ("case_study", "discrimination", "single_edge")
 VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-gamma", "sweep-tau")
 WORKLOAD_RUNS = [(name, 1) for name in ("complete-sweep", "bounded-sparse", "consensus", "op_b-defect")]
@@ -186,8 +192,77 @@ def collect(tree, out):
     (out / "stopped.txt").write_text(stopped)
 
 
+def pairs(base, head, out):
+    spec, trees, blocks = json.loads(BENCHMARK.read_text()), {"parent": base, "change": head}, {}
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        runs = {side: {} for side in trees}  # by seed: the JSON on the run's last line, where that is JSON
+        for seed in SEEDS:
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                argv = [sys.executable, *RUN.format(workload, seed).split()]
+                done = subprocess.run(argv, cwd=trees[side], capture_output=True, text=True)
+                with contextlib.suppress(IndexError, ValueError):  # else not correct, and left out of the statistics
+                    runs[side][seed] = json.loads(done.stdout.splitlines()[-1])
+        reported = [run for side in runs.values() for run in side.values()]
+        correct = len(reported) == 2 * len(SEEDS) and all(run["correct"] is True for run in reported)
+        failed = {side: sum(run["failed"] for run in runs[side].values()) for side in trees}
+        blocks[workload] = {"seeds": list(SEEDS), "correct": correct, "failed": failed}
+        for name, better in ((metric["name"], metric["better"]) for metric in spec["end_to_end"]):
+            values = ({seed: round(run["metrics"][name]["value"], 4) for seed, run in runs[side].items()} for side in trees)
+            blocks[workload][name] = timing(*values, better)
+    import numpy, yaml  # noqa: E401
+    cpuinfo = read(Path("/proc/cpuinfo")).splitlines()
+    cpu = [line.split(":")[1].strip() for line in cpuinfo if line.startswith("model name")] or [os.uname().machine]
+    machine = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": numpy.__version__, "pyyaml": yaml.__version__,
+               "with_libyaml": yaml.__with_libyaml__, "nproc": os.cpu_count(), "cpu": cpu[0]}
+    lines = {side: sum(path.read_bytes().count(b"\n") for path in Path(tree, "src", "secalloc").glob("*.py"))
+             for side, tree in trees.items()}
+    Path(out).mkdir(parents=True, exist_ok=True)
+    Path(out, "pairs.json").write_text(json.dumps({
+        "command": f"python3 {RUN.format('<workload>', '<seed>')}", "pairs": "seeds 11-20, one pair per seed and "
+        "workload; parent first at odd seeds, change first at even seeds", "machine": machine, "src_lines": lines,
+        "end_to_end": blocks}, indent=2) + "\n")
+
+
+def timing(parent, change, better):
+    """A metric's block from each side's runs by seed; None where a side has under two, too few for quartiles."""
+    if min(len(parent), len(change)) < 2:
+        return None
+    block, sign = {}, 1 if better == "lower" else -1
+    for side, runs in (("parent", parent), ("change", change)):
+        q1, median, q3 = (round(q, 4) for q in statistics.quantiles(runs.values(), n=4))
+        block[side] = {"median": median, "q1": q1, "q3": q3, "runs": list(runs.values())}
+    block["change_better_pairs"] = sum(sign * (parent[seed] - change[seed]) > 0 for seed in parent.keys() & change.keys())
+    block["median_ratio"] = round(block["change"]["median"] / block["parent"]["median"], 3)
+    return block
+
+
+def verdict(times, bound, better):
+    """Worse beyond the bound; else unresolved where the parent's q1-q3 spread is wider than the bound,
+    unless every change run beats every parent run; else within the bound."""
+    parent, change, sign = times["parent"], times["change"], 1 if better == "lower" else -1
+    if sign * (change["median"] - parent["median"]) > bound * parent["median"]:
+        return "worse beyond the bound"
+    beaten = max(sign * run for run in change["runs"]) < min(sign * run for run in parent["runs"])
+    return "unresolved" if parent["q3"] - parent["q1"] > bound * parent["median"] and not beaten else "within the bound"
+
+
 def summary(root):
+    if Path(root, "pairs.json").exists():
+        doc, metrics = json.loads(Path(root, "pairs.json").read_text()), json.loads(BENCHMARK.read_text())["end_to_end"]
+        print(f"Paired timing, parent -> change medians ({doc['command']}; {doc['pairs']}):")
+        for workload, block in doc["end_to_end"].items():
+            print(f"- {workload}: {'every' if block['correct'] else 'not every'} run correct, "
+                  f"failed calls {block['failed']}")
+            for metric in metrics:
+                times = block[metric["name"]]
+                print(f"  - {metric['name']} (bound {metric['bound']:g}): " + (
+                    "fewer than two runs on a side" if times is None else
+                    f"{times['parent']['median']:g} -> {times['change']['median']:g} {metric['unit']}, ratio "
+                    f"{times['median_ratio']:g}, change better in {times['change_better_pairs']} of "
+                    f"{len(block['seeds'])} pairs: {verdict(times, metric['bound'], metric['better'])}"))
     trees = [tree for tree in ("base", "HEAD") if (Path(root) / tree).is_dir()]
+    if "HEAD" not in trees:  # DIR holds pairs.json alone
+        return
     lines = {(tree, part): read(Path(root, tree, f"{part}.txt")).splitlines()
              for tree in trees for part in ("stopped", "shipped", "workload_calls", "known_limits")}
     for tree in trees:
@@ -252,4 +327,4 @@ def read(path):
 
 if __name__ == "__main__":
     command, *paths = sys.argv[1:]
-    {"collect": collect, "summary": summary}[command](*paths)
+    {"collect": collect, "summary": summary, "pairs": pairs}[command](*paths)

@@ -250,7 +250,9 @@ def _pgd(
     & Dai 2006): BB1 = s's / s'y where BB2 = s'y / y'y is below
     ``_BB_KAPPA`` (0.7) times BB1, that is where cos^2(s, y) < 0.7 and the
     last move ran mostly along directions where the gradient barely
-    changed, else BB2; clamped, or ``step_size`` again when s'y <= 0. op_b's
+    changed, else BB2; clamped, or ``step_size`` again when s'y <= 0 or
+    y'y underflows to 0 (a utility slope of 1e200 sets a cost scale under
+    which the other targets' gradients barely move). op_b's
     perceived loss depends only on target totals, so moving a target's
     total between its sources is such a direction, and BB2 alone crossed
     these flat faces in short steps until the stall test stopped it short
@@ -319,8 +321,8 @@ def _pgd(
         g_new = gradient(x_new) / scale
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
-        if sy > 0:
-            bb1, bb2 = float(s @ s) / sy, sy / float(y @ y)
+        if sy > 0 and (yy := float(y @ y)) > 0:
+            bb1, bb2 = float(s @ s) / sy, sy / yy
             alpha = min(max(bb1 if bb2 < _BB_KAPPA * bb1 else bb2, _MIN_ALPHA), _MAX_ALPHA)
         else:
             alpha = config.step_size

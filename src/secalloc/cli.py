@@ -20,7 +20,7 @@ import numpy as np
 
 from . import admm as admm_mod
 from . import centralized, scenario_io, waterfill
-from .errors import ConvergenceError, InfeasibleError, PreconditionError, ScenarioError
+from .errors import ConvergenceError, DomainError, InfeasibleError, PreconditionError, ScenarioError
 from .model import BehavioralModel, SolveReport, TransportNetwork, _plan_totals, _schema, field_problem
 from .scenario_io import _fmt, _write_lines
 
@@ -189,18 +189,27 @@ def _cmd_sweep_gamma(args, scenario: scenario_io.ScenarioFile) -> int:
 def _cmd_sweep_tau(args, scenario: scenario_io.ScenarioFile) -> int:
     # continuation: only tau_c changes along the grid, so each point starts
     # from the last point's plan
-    def solve_at(value, config, previous):
-        network = TransportNetwork(
+    def network_at(value):
+        return TransportNetwork(
             scenario.network.targets,
             tuple(replace(s, weight_tau=value) for s in scenario.network.sources),
             scenario.network.edges,
         )
-        start = None if previous is None else previous.plan
-        return centralized.solve_op_b(network, scenario.behavior, config, start)
 
-    return _sweep(
-        args, scenario, "tau", lambda v: None if 0 <= v <= 1 else "must be in [0, 1]", solve_at
-    )
+    def problem(value):  # the utility grows with tau, so --stop's network bounds the grid's
+        if not 0 <= value <= 1:
+            return "must be in [0, 1]"
+        try:
+            network_at(value)
+        except DomainError as exc:
+            return f"leaves the float range ({exc})"
+        return None
+
+    def solve_at(value, config, previous):
+        start = None if previous is None else previous.plan
+        return centralized.solve_op_b(network_at(value), scenario.behavior, config, start)
+
+    return _sweep(args, scenario, "tau", problem, solve_at)
 
 
 def _checked(name: str, annotation):

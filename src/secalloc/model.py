@@ -321,8 +321,9 @@ class TransportNetwork:
 
     Edges are (target_id, source_id) pairs, stored in canonical order
     (the targets' listed order, then the sources' listed order). It needs
-    at least one target and one source, and every node must be incident to
-    at least one edge. ``edge_index``, the array
+    at least one target and one source, every node must be incident to
+    at least one edge, and both the total supply and the largest utility
+    a plan within the supplies can reach must be finite. ``edge_index``, the array
     view of the edges that every solver shares, is built once, here.
     """
 
@@ -362,6 +363,15 @@ class TransportNetwork:
         for s, idx in zip(self.sources, index.source_indices):
             if idx.size == 0:
                 raise DomainError(f"source {s.id!r} has no incident edge")
+        # FIELD_RULES checks each number alone; their sums and products must
+        # stay finite too, or the solvers' totals and objectives overflow
+        supplies = index.supply_upper.tolist()  # Python floats overflow to inf, not a warning
+        if not math.isfinite(sum(supplies)):
+            raise DomainError("the total supply_upper overflows")
+        reach = sum(q * float(abs(index.tau_c[idx]).max()) for q, idx in zip(supplies, index.source_indices))
+        if not math.isfinite(reach):
+            raise DomainError("the largest source utility, the sum of supply_upper * "
+                              "max |weight_tau * utility_coeffs|, overflows")
         object.__setattr__(self, "edge_index", index)
 
     @classmethod

@@ -37,7 +37,7 @@ import yaml
 
 from .admm import AdmmConfig
 from .centralized import SolverConfig
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .model import (
     AttackProbabilityModel,
     BehavioralModel,
@@ -457,11 +457,15 @@ def _parse_with(text: str, loader) -> ScenarioFile:
     for s in sources:
         given = s.get("utility_coeffs", {})
         s["utility_coeffs"] = {x: given.get(x, 1.0) for x in incident[s["id"]]}
-    network = TransportNetwork(
-        tuple(TargetSpec(**t) for t in targets),
-        tuple(SourceSpec(**s) for s in sources),
-        tuple(edges),
-    )
+    try:
+        network = TransportNetwork(
+            tuple(TargetSpec(**t) for t in targets),
+            tuple(SourceSpec(**s) for s in sources),
+            tuple(edges),
+        )
+    except DomainError as exc:  # a total over the sources: no one field's rule sees it
+        diag.add(items["sources"], f"sources: {exc}")
+        raise ScenarioError(diag.messages) from exc
     return ScenarioFile(network, BehavioralModel(**behavior), complete, solver, admm)
 
 

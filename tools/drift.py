@@ -1,8 +1,9 @@
-"""What a change does to the outputs this repository reproduces; reported, never gated.
+"""What a change does to the outputs this repository reproduces, and the benchmark runs CI gates on.
 
     python tools/drift.py collect TREE OUT   # run TREE's code, record it in OUT
     python tools/drift.py summary DIR        # DIR/base against DIR/HEAD, or DIR/HEAD alone
     python tools/drift.py pairs BASE HEAD OUT   # time BASE against HEAD, into OUT/pairs.json
+    python tools/drift.py gate               # this tree's gated runs; exit 1 unless each is correct
 
 collect runs in one interpreter with TREE's src, tests and bench first on
 sys.path, and records what TREE's code prints or raises:
@@ -24,13 +25,21 @@ sys.path, and records what TREE's code prints or raises:
 
 pairs runs each tree's own bench/run.py (RUN) on each workload of BENCHMARK.json,
 one pair per seed, BASE first at odd seeds; summary adds a verdict per metric.
+
+gate runs this tree's bench/run.py for 1 s on each of GATES: the gated workloads
+traced at seed 1, and at seeds 1-10 op_b-defect, the one workload whose target caps
+bind, where op_b's spectral step and admm's balanced penalty change their paths most.
+It prints each verdict, and the traced runs' PGD iterations and ADMM rounds per
+round of calls; it exits 1 where a run is not correct or prints no JSON.
 """
 
 import contextlib, csv, difflib, functools, hashlib, io, json, math, os, statistics, subprocess, sys, tempfile, warnings  # noqa: E401
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds 5 --trace 0", range(11, 21)
+RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds {} --trace {}", range(11, 21)
+GATES = [(name, 1, 1) for name in ("complete-sweep", "bounded-sparse", "consensus")]  # (workload, seed, trace)
+GATES += [("op_b-defect", seed, 0) for seed in range(1, 11)]
 SCENARIOS = ("case_study", "discrimination", "single_edge")
 VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-gamma", "sweep-tau")
 WORKLOAD_RUNS = [(name, 1) for name in ("complete-sweep", "bounded-sparse", "consensus", "op_b-defect")]
@@ -73,33 +82,42 @@ def run_cli(tree, argv, module=False):
     return [text.replace(tree, "TREE") for text in (outcome, stdout, stderr)]
 
 
+@contextlib.contextmanager
+def counting(module, names, field=None):
+    """Wrap each of MODULE's functions NAMES in the block, adding to the
+    yielded [count] 1 per call (a call that raises too), or with FIELD, the
+    FIELD of each result; the originals are back however the block ends."""
+    originals, count = {name: getattr(module, name) for name in names}, [0]
+
+    def counted(function, *args, **kwargs):
+        count[0] += field is None
+        result = function(*args, **kwargs)
+        count[0] += getattr(result, field) if field else 0
+        return result
+
+    vars(module).update({name: functools.partial(counted, function) for name, function in originals.items()})
+    try:
+        yield count
+    finally:
+        vars(module).update(originals)
+
+
 def shipped(tree):
     from secalloc import centralized, scenario_io
 
-    iterations = [0]
-
-    def counted(solve, *args, **kwargs):
-        report = solve(*args, **kwargs)
-        iterations[0] += report.iterations
-        return report
-
-    lines, solvers = [], (centralized.solve_op_a, centralized.solve_op_b)
-    centralized.solve_op_a, centralized.solve_op_b = (functools.partial(counted, solve) for solve in solvers)
-    try:
-        for scenario in SCENARIOS:
-            path = os.path.join(tree, "scenarios", f"{scenario}.yaml")
-            for verb in VERBS:
-                name, iterations[0] = f"{scenario}.{verb.replace(' ', '_')}", 0
-                module = (scenario, verb) == (SCENARIOS[0], VERBS[0])
+    lines = []
+    for scenario in SCENARIOS:
+        path = os.path.join(tree, "scenarios", f"{scenario}.yaml")
+        for verb in VERBS:
+            name, module = f"{scenario}.{verb.replace(' ', '_')}", (scenario, verb) == (SCENARIOS[0], VERBS[0])
+            with counting(centralized, ("solve_op_a", "solve_op_b"), "iterations") as iterations:
                 outcome, stdout, stderr = run_cli(tree, [*verb.split(), path, "-o", f"{name}.out"], module)
-                Path(f"{name}.log").write_text(f"{stdout}{stderr}{outcome}\n")
-                if verb.startswith("sweep"):
-                    lines.append(f"{name} {outcome}, {iterations[0]} iterations")
-            scenario_file = scenario_io.parse_scenario(Path(path).read_text(encoding="utf-8"))
-            Path(f"{scenario}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
-        return lines
-    finally:
-        centralized.solve_op_a, centralized.solve_op_b = solvers
+            Path(f"{name}.log").write_text(f"{stdout}{stderr}{outcome}\n")
+            if verb.startswith("sweep"):
+                lines.append(f"{name} {outcome}, {iterations[0]} iterations")
+        scenario_file = scenario_io.parse_scenario(Path(path).read_text(encoding="utf-8"))
+        Path(f"{scenario}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
+    return lines
 
 
 def workload_calls(tree):
@@ -142,12 +160,6 @@ def known_limits(tree):
         text = f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
         return text, report.residual_trace
 
-    kernel, evaluations = admm.marginal_perceived_cost, [0]
-
-    def counted(target, behavior, total):  # wrapped as tests/test_admm_round_kernel.py does
-        evaluations[0] += 1
-        return kernel(target, behavior, total)
-
     lines = []
     for name, network, gamma in cases:
         behavior = model.BehavioralModel(gamma)
@@ -160,13 +172,10 @@ def known_limits(tree):
         except Exception as exc:
             lines.append(f"- {name}: {type(exc).__name__} ({exc})")
             continue
-        admm.marginal_perceived_cost, evaluations[0] = counted, 0
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                text, trace = outcome(admm.run_admm, "rounds")
-        finally:
-            admm.marginal_perceived_cost = kernel
+        with counting(admm, ("marginal_perceived_cost",)) as evaluations, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            text, trace = outcome(admm.run_admm, "rounds")
         nans = sum(math.isnan(record.objective) for record in trace)
         warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         row = (f"- {name}: {text}, {evaluations[0]} marginal evaluations, {nans} nan objectives, "
@@ -198,10 +207,8 @@ def pairs(base, head, out):
         runs = {side: {} for side in trees}  # by seed: the JSON on the run's last line, where that is JSON
         for seed in SEEDS:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                argv = [sys.executable, *RUN.format(workload, seed).split()]
-                done = subprocess.run(argv, cwd=trees[side], capture_output=True, text=True)
-                with contextlib.suppress(IndexError, ValueError):  # else not correct, and left out of the statistics
-                    runs[side][seed] = json.loads(done.stdout.splitlines()[-1])
+                if (run := bench(trees[side], workload, seed)) is not None:  # else not correct, and left out
+                    runs[side][seed] = run
         reported = [run for side in runs.values() for run in side.values()]
         correct = len(reported) == 2 * len(SEEDS) and all(run["correct"] is True for run in reported)
         failed = {side: sum(run["failed"] for run in runs[side].values()) for side in trees}
@@ -218,9 +225,30 @@ def pairs(base, head, out):
              for side, tree in trees.items()}
     Path(out).mkdir(parents=True, exist_ok=True)
     Path(out, "pairs.json").write_text(json.dumps({
-        "command": f"python3 {RUN.format('<workload>', '<seed>')}", "pairs": "seeds 11-20, one pair per seed and "
+        "command": f"python3 {RUN.format('<workload>', '<seed>', 5, 0)}", "pairs": "seeds 11-20, one pair per seed and "
         "workload; parent first at odd seeds, change first at even seeds", "machine": machine, "src_lines": lines,
         "end_to_end": blocks}, indent=2) + "\n")
+
+
+def bench(tree, workload, seed, seconds=5, trace=0):
+    """The JSON that TREE's own bench/run.py prints on its last line, or None where that is no JSON."""
+    done = subprocess.run([sys.executable, *RUN.format(workload, seed, seconds, trace).split()],
+                          cwd=tree, capture_output=True, text=True)
+    with contextlib.suppress(IndexError, ValueError):
+        return json.loads(done.stdout.splitlines()[-1])
+    return None
+
+
+def gate():
+    correct = []
+    for workload, seed, trace in GATES:
+        run = bench(str(BENCHMARK.parent), workload, seed, 1, trace)
+        correct.append(run is not None and run["correct"] is True)
+        print(f"{workload} seed {seed}: " + ("no JSON on the last line of stdout" if run is None else
+              f"{'' if correct[-1] else 'not '}correct, {run['failed']} of {run['attempted']} calls failed"))
+        for name in ("centralized.pgd_iterations", "admm.rounds") if trace and run else ():
+            print(f"- {workload} {name}: {run['metrics'][name]['value']:g}")
+    return 0 if all(correct) else 1
 
 
 def timing(parent, change, better):
@@ -327,4 +355,4 @@ def read(path):
 
 if __name__ == "__main__":
     command, *paths = sys.argv[1:]
-    {"collect": collect, "summary": summary, "pairs": pairs}[command](*paths)
+    sys.exit({"collect": collect, "summary": summary, "pairs": pairs, "gate": gate}[command](*paths))

@@ -322,9 +322,10 @@ class TransportNetwork:
     Edges are (target_id, source_id) pairs, stored in canonical order
     (the targets' listed order, then the sources' listed order). It needs
     at least one target and one source, every node must be incident to
-    at least one edge, and both the total supply and the largest utility
-    a plan within the supplies can reach must be finite. ``edge_index``, the array
-    view of the edges that every solver shares, is built once, here.
+    at least one edge, and the total loss value, the total supply and the
+    largest utility a plan within the supplies can reach must be finite.
+    ``edge_index``, the array view of the edges that every solver shares,
+    is built once, here.
     """
 
     targets: Tuple[TargetSpec, ...]
@@ -364,8 +365,11 @@ class TransportNetwork:
             if idx.size == 0:
                 raise DomainError(f"source {s.id!r} has no incident edge")
         # FIELD_RULES checks each number alone; their sums and products must
-        # stay finite too, or the solvers' totals and objectives overflow
-        supplies = index.supply_upper.tolist()  # Python floats overflow to inf, not a warning
+        # stay finite too, or the solvers' totals and objectives overflow.
+        # Python floats overflow to inf, not a warning
+        if not math.isfinite(sum(index.loss_values.tolist())):
+            raise DomainError("the total loss_value overflows")
+        supplies = index.supply_upper.tolist()
         if not math.isfinite(sum(supplies)):
             raise DomainError("the total supply_upper overflows")
         reach = sum(q * float(abs(index.tau_c[idx]).max()) for q, idx in zip(supplies, index.source_indices))

@@ -463,8 +463,9 @@ def _parse_with(text: str, loader) -> ScenarioFile:
             tuple(SourceSpec(**s) for s in sources),
             tuple(edges),
         )
-    except DomainError as exc:  # a total over the sources: no one field's rule sees it
-        diag.add(items["sources"], f"sources: {exc}")
+    except DomainError as exc:  # a total over one side: no one field's rule sees it
+        section = "targets" if "loss_value" in str(exc) else "sources"
+        diag.add(items[section], f"{section}: {exc}")
         raise ScenarioError(diag.messages) from exc
     return ScenarioFile(network, BehavioralModel(**behavior), complete, solver, admm)
 

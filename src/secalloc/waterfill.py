@@ -17,6 +17,7 @@ monotonically (every tangent lies under psi) and needs no bracket.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
@@ -52,8 +53,14 @@ def _level_inverse(
     """L with psi(L) = level, elementwise, by Newton from L(0), or from the
     smallest normal float where L(0) is subnormal (psi's slope, about -1/L,
     overflows there), until no element moves up; and the amounts t with
-    L(t) = L: exactly the start and 0.0 where psi(start) <= level."""
+    L(t) = L: exactly the start and 0.0 where psi(start) <= level, and inf
+    for both where psi at the largest float amount, or at the largest float
+    L, is still above level (the root lies past the float range, where
+    Newton's step overflows)."""
     start, k = max(model.neg_log_probability(0.0), np.finfo(float).tiny), model.log_rate_slope
+    top = min(model.neg_log_probability(sys.float_info.max), sys.float_info.max)
+    beyond = psi(top, gamma, k) > level
+    level = np.where(beyond, np.inf, level)  # psi(start) <= inf: held at the start
     big_l = np.full(np.shape(level), start)
     for _ in range(_MAX_ROOT_STEPS):
         step = big_l - (psi(big_l, gamma, k) - level) / psi_slope(big_l, gamma, k)
@@ -61,7 +68,8 @@ def _level_inverse(
         if not np.logical_or.reduce(moved, axis=None):
             break
         big_l = np.where(moved, step, big_l)
-    return big_l, np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
+    amounts = np.where(big_l > start, np.maximum(model.amount_at(big_l), 0.0), 0.0)
+    return np.where(beyond, np.inf, big_l), np.where(beyond, np.inf, amounts)
 
 
 def _zero_levels(targets: Sequence[TargetSpec], gamma: float) -> np.ndarray:
@@ -252,9 +260,9 @@ def gamma_sensitivity(
     the misperception parameter, by implicit differentiation of the
     defining marginal equality in log form.
 
-    Requires p(0) < 1/e at both targets; the derivative is then strictly
-    negative, so a more behavioral planner activates lower-valued targets
-    later.
+    Requires p(0) < 1/e at both targets and a threshold within the float
+    range; the derivative is then strictly negative, so a more behavioral
+    planner activates lower-valued targets later.
     """
     for t in (i, j):
         if not t.prob_model.neg_log_probability(0.0) > 1.0:
@@ -262,6 +270,10 @@ def gamma_sensitivity(
                 f"gamma sensitivity requires p(0) < 1/e at target {t.id}"
             )
     pi_star = threshold(i, j, behavior)  # also validates U_i > U_j
+    if pi_star == math.inf:
+        raise PreconditionError(
+            f"gamma sensitivity requires a finite threshold of {i.id} against {j.id}"
+        )
     gamma = behavior.gamma
 
     big_l = i.prob_model.neg_log_probability(pi_star)

@@ -26,7 +26,7 @@ sys.path, and records what TREE's code prints or raises:
 pairs runs each tree's own bench/run.py (RUN) on each workload of BENCHMARK.json,
 one pair per seed, BASE first at odd seeds; summary adds a verdict per metric.
 
-gate runs this tree's bench/run.py for 1 s on each of GATES: the gated workloads
+gate runs this tree's bench/run.py for 1 s: each workload of BENCHMARK.json
 traced at seed 1, and at seeds 1-10 op_b-defect, the one workload whose target caps
 bind, where op_b's spectral step and admm's balanced penalty change their paths most.
 It prints each verdict, and the traced runs' PGD iterations and ADMM rounds per
@@ -38,8 +38,6 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds {} --trace {}", range(11, 21)
-GATES = [(name, 1, 1) for name in ("complete-sweep", "bounded-sparse", "consensus")]  # (workload, seed, trace)
-GATES += [("op_b-defect", seed, 0) for seed in range(1, 11)]
 SCENARIOS = ("case_study", "discrimination", "single_edge")
 VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-gamma", "sweep-tau")
 WORKLOAD_RUNS = [(name, 1) for name in ("complete-sweep", "bounded-sparse", "consensus", "op_b-defect")]
@@ -50,7 +48,7 @@ KNOWN_LIMITS = [(f"U {u:g} and 0.75 U, source 1, gamma 0.5", [u, 0.75 * u], [1],
                 for u in (1e4, 1e5, 1e6)]
 KNOWN_LIMITS += [("U 1e17 and 0.75 U, source 1, gamma 0.5", [1e17, 0.75e17], [1], "exponential", 1.0, 0.5)]
 KNOWN_LIMITS += [(f"U 12/9 {family} r {r:g}, source {q:g}, gamma 0.5", [12, 9], [q], family, r, 0.5)
-                 for family, r in (("exponential", 1.0), ("reciprocal", 2.0)) for q in (700, 1e4)]
+                 for family, r in (("exponential", 1.0), ("reciprocal", 2.0)) for q in (700, 1e4, 1e10)]
 KNOWN_LIMITS += [(f"U 1/0.5, source {q:g}, gamma {g:g}", [1, 0.5], [q], "exponential", 1.0, g)
                  for q, g in ((100, 0.3), (10, 0.01), (10, 0.001))]
 KNOWN_LIMITS += [
@@ -59,6 +57,8 @@ KNOWN_LIMITS += [
 ]
 KNOWN_LIMITS += [(f"U 12/6/1e-9, baseline 1e-20, source 1, gamma {g:g}", [12, 6, 1e-9], [1], "exponential", 1e-20, g)
                  for g in (0.01, 0.1)]
+KNOWN_LIMITS += [("U 1.5e308 and 1e300, baseline 1e-300, source 1e-300, gamma 0.5", [1.5e308, 1e300], [1e-300],
+                  "exponential", 1e-300, 0.5)]
 
 
 def run_cli(tree, argv, module=False):
@@ -240,8 +240,9 @@ def bench(tree, workload, seed, seconds=5, trace=0):
 
 
 def gate():
+    traced = [(entry["name"], 1, 1) for entry in json.loads(BENCHMARK.read_text())["workloads"]]
     correct = []
-    for workload, seed, trace in GATES:
+    for workload, seed, trace in traced + [("op_b-defect", seed, 0) for seed in range(1, 11)]:
         run = bench(str(BENCHMARK.parent), workload, seed, 1, trace)
         correct.append(run is not None and run["correct"] is True)
         print(f"{workload} seed {seed}: " + ("no JSON on the last line of stdout" if run is None else

@@ -53,7 +53,7 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
-_MIN_ALPHA, _MAX_ALPHA = 1e-10, 1e2  # clamp on the spectral step
+_MIN_ALPHA, _MAX_ALPHA = 1e-10, 1e2  # clamp on the spectral step; the upper one times max(1, budget)
 _MAX_SCALED_GRADIENT = 1e3  # cap on the largest scaled gradient entry at the start
 _FEASIBLE_RTOL = 1e-9  # largest violation of a returned plan, relative to the supply
 _BB_KAPPA = 0.7  # take BB1 where BB2 / BB1 = cos^2(s, y) falls below this
@@ -63,7 +63,8 @@ _SETTLE_TOL = 1e-13  # largest multiplier move, relative to z, lam and mu
 _MAX_CYCLES = 10000
 # margin of an unbindable target cap over its sources' caps: their projected
 # amounts can sum above a cap by n ulps of the largest of n entries, n 2e-11
-# of it on a point 1e5 times the supply out (alpha 1e2 on a gradient of 1e3)
+# of it on a point 1e5 times the supply out (alpha 1e2 max(1, budget) on a
+# scaled gradient of 1e3 min(1, budget))
 _UNBINDABLE_RTOL = 1e-6
 _counts = functools.cache(lambda n: np.arange(1.0, n + 1))  # _row_thresholds' 1..n; never written
 
@@ -249,17 +250,24 @@ def _pgd(
     s and y the last moves of x and g, it is the adaptive BB step (Zhou, Gao
     & Dai 2006): BB1 = s's / s'y where BB2 = s'y / y'y is below
     ``_BB_KAPPA`` (0.7) times BB1, that is where cos^2(s, y) < 0.7 and the
-    last move ran mostly along directions where the gradient barely
-    changed, else BB2; clamped, or ``step_size`` again when s'y <= 0 or
-    y'y underflows to 0 (a utility slope of 1e200 sets a cost scale under
-    which the other targets' gradients barely move). op_b's
-    perceived loss depends only on target totals, so moving a target's
-    total between its sources is such a direction, and BB2 alone crossed
-    these flat faces in short steps until the stall test stopped it short
-    of stationarity. BB1 alone, and a threshold of 0.9, stopped the case
-    study's op_b at tau 0.25 more than 1e-8 above op_a's true loss, which
-    it equals there; a threshold of 0.5 tripled op_b's iterations on a
+    last move ran mostly along directions where the gradient barely changed,
+    else BB2. op_b's perceived loss depends only on target totals, so moving
+    a target's total between its sources is such a direction, and BB2 alone
+    crossed these flat faces in short steps until the stall test stopped it
+    short of stationarity. BB1 alone, and a threshold of 0.9, stopped the
+    case study's op_b at tau 0.25 more than 1e-8 above op_a's true loss,
+    which it equals there; a threshold of 0.5 tripled op_b's iterations on a
     seeded 5x3 network (``tests/test_adaptive_step.py``).
+    The step is clamped to [1e-10, 1e2 max(1, budget)] in units of amount
+    (below). The scaled gradient starts at most 1e3 amount, so a step moves
+    at most about 1e5 times the budget; clamped at 1e2 alone, op_a on U 12/9
+    (reciprocal r 2) ran out of iterations from a budget of 1e7 up. Where x
+    moved and the scaled gradient did not (y'y is 0: a utility slope of
+    1e200 sets a cost scale under which the loss gradients underflow), alpha
+    doubles up to the clamp; where x did not move, or s'y <= 0 and y'y > 0,
+    it is ``step_size`` again. Doubling, or the clamp, there too made that
+    run at 1e10 exit 5: Armijo failed, x stayed, and a longer step failed
+    again (``tests/test_budget_units.py``).
     Converged when ||d|| / min(alpha, 1), an upper bound on the unit-step
     projected-gradient norm, falls below ``gradient_tolerance`` in units of
     amount (below), or when the objective changes by at most
@@ -288,7 +296,7 @@ def _pgd(
     cost = max(min(1.0, g_max), g_max / _MAX_SCALED_GRADIENT) or 1.0
     scale = cost / amount / amount  # not amount**2, which underflows below about 1e-162
     g = g / scale
-    alpha = config.step_size
+    alpha, max_alpha = config.step_size, _MAX_ALPHA * max(budget, 1.0)
     trace: List[TraceRecord] = []
     stall = 0
     for iteration in range(1, config.max_iterations + 1):
@@ -320,10 +328,12 @@ def _pgd(
             stall = 0
         g_new = gradient(x_new) / scale
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > 0 and (yy := float(y @ y)) > 0:
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > 0 and yy > 0:
             bb1, bb2 = float(s @ s) / sy, sy / yy
-            alpha = min(max(bb1 if bb2 < _BB_KAPPA * bb1 else bb2, _MIN_ALPHA), _MAX_ALPHA)
+            alpha = min(max(bb1 if bb2 < _BB_KAPPA * bb1 else bb2, _MIN_ALPHA), max_alpha)
+        elif yy == 0 and float(s @ s) > 0:  # x moved and the gradient did not
+            alpha = min(2.0 * alpha, max_alpha)
         else:
             alpha = config.step_size
         x, fx, g = x_new, f_new, g_new

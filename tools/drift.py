@@ -7,12 +7,12 @@
 
 collect runs in one interpreter with TREE's src, tests and bench first on
 sys.path, and records what TREE's code prints or raises:
-* every verb on the shipped scenarios (one call through python -m) and their
+* every verb on the shipped scenarios (TREE/scenarios/*.yaml) and their
   canonical rewrites, which stay byte-identical unless a change says why;
 * each shipped sweep's op_a/op_b iterations: sweep-tau starts each point from
   the last plan, so a change to that start or the step rule moves it quietly;
-* a hash of each seed-1 call of the four benchmark workloads, and of the
-  seed-2 and seed-3 calls of the two that run admm;
+* a hash of each seed-1 call of TREE's BENCHMARK.json workloads and
+  op_b-defect, and of the seed-2 and seed-3 calls of the two that run admm;
 * run_admm on KNOWN_LIMITS and the binding-cap networks: exit or rounds, the
   aggregate error against waterfill (or op_b) relative to the budget, and how
   many times it called admm.marginal_perceived_cost, so that a change to the
@@ -38,10 +38,7 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds {} --trace {}", range(11, 21)
-SCENARIOS = ("case_study", "discrimination", "single_edge")
 VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-gamma", "sweep-tau")
-WORKLOAD_RUNS = [(name, 1) for name in ("complete-sweep", "bounded-sparse", "consensus", "op_b-defect")]
-WORKLOAD_RUNS += [(name, seed) for seed in (2, 3) for name in ("consensus", "op_b-defect")]
 
 # README's Known limits for admm and op_a, complete: (name, loss values, supplies, family, baseline, gamma)
 KNOWN_LIMITS = [(f"U {u:g} and 0.75 U, source 1, gamma 0.5", [u, 0.75 * u], [1], "exponential", 1.0, 0.5)
@@ -61,25 +58,18 @@ KNOWN_LIMITS += [("U 1.5e308 and 1e300, baseline 1e-300, source 1e-300, gamma 0.
                   "exponential", 1e-300, 0.5)]
 
 
-def run_cli(tree, argv, module=False):
-    """The exit (or what was raised), stdout and stderr of cli.main(argv), or of
-    ``python -m secalloc.cli`` with ``module``; TREE's path reads TREE."""
-    if module:
-        env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-        done = subprocess.run([sys.executable, "-m", "secalloc.cli", *argv], capture_output=True, text=True, env=env)
-        outcome, stdout, stderr = f"exit {done.returncode}", done.stdout, done.stderr
-    else:
-        from secalloc import cli
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                outcome = f"exit {cli.main(argv)}"
-            except SystemExit as exc:
-                outcome = f"exit {exc.code}"
-            except Exception as exc:
-                outcome = f"raised {type(exc).__name__}: {exc}"
-        stdout, stderr = stdout.getvalue(), stderr.getvalue()
-    return [text.replace(tree, "TREE") for text in (outcome, stdout, stderr)]
+def run_cli(tree, argv):
+    """The exit (or what was raised), stdout and stderr of cli.main(argv); TREE's path reads TREE."""
+    from secalloc import cli
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            outcome = f"exit {cli.main(argv)}"
+        except SystemExit as exc:
+            outcome = f"exit {exc.code}"
+        except Exception as exc:
+            outcome = f"raised {type(exc).__name__}: {exc}"
+    return [text.replace(tree, "TREE") for text in (outcome, stdout.getvalue(), stderr.getvalue())]
 
 
 @contextlib.contextmanager
@@ -106,26 +96,28 @@ def shipped(tree):
     from secalloc import centralized, scenario_io
 
     lines = []
-    for scenario in SCENARIOS:
-        path = os.path.join(tree, "scenarios", f"{scenario}.yaml")
+    for path in sorted(Path(tree, "scenarios").glob("*.yaml"), key=lambda path: path.stem):
         for verb in VERBS:
-            name, module = f"{scenario}.{verb.replace(' ', '_')}", (scenario, verb) == (SCENARIOS[0], VERBS[0])
+            name = f"{path.stem}.{verb.replace(' ', '_')}"
             with counting(centralized, ("solve_op_a", "solve_op_b"), "iterations") as iterations:
-                outcome, stdout, stderr = run_cli(tree, [*verb.split(), path, "-o", f"{name}.out"], module)
+                outcome, stdout, stderr = run_cli(tree, [*verb.split(), str(path), "-o", f"{name}.out"])
             Path(f"{name}.log").write_text(f"{stdout}{stderr}{outcome}\n")
             if verb.startswith("sweep"):
                 lines.append(f"{name} {outcome}, {iterations[0]} iterations")
-        scenario_file = scenario_io.parse_scenario(Path(path).read_text(encoding="utf-8"))
-        Path(f"{scenario}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
+        scenario_file = scenario_io.parse_scenario(path.read_text(encoding="utf-8"))
+        Path(f"{path.stem}.written.yaml").write_text(scenario_io.write_scenario(scenario_file))
     return lines
 
 
 def workload_calls(tree):
     import workloads
 
+    names = [entry["name"] for entry in json.loads(Path(tree, "BENCHMARK.json").read_text())["workloads"]]
+    runs = [(name, 1) for name in [*names, "op_b-defect"]]
+    runs += [(name, seed) for seed in (2, 3) for name in ("consensus", "op_b-defect")]  # the two that run admm
     lines = []
     with tempfile.TemporaryDirectory() as work:
-        for name, seed in WORKLOAD_RUNS:
+        for name, seed in runs:
             for call in workloads.build(name, seed, os.path.join(work, f"{name}-{seed}"), tree):
                 outcome, _, stderr = run_cli(tree, call.argv)
                 digest = hashlib.sha256(f"{outcome}\n{stderr}".replace(work, "WORK").encode())

@@ -106,10 +106,11 @@ def threshold(i: TargetSpec, j: TargetSpec, behavior: BehavioralModel) -> float:
             "threshold requires probability models of the same family"
         )
     level_i, level_j = _zero_levels([i, j], behavior.gamma)
-    if level_i <= level_j:
+    if level_i <= level_j:  # on one model U_i > U_j orders the exact levels: they tied in floats
         raise PreconditionError(
-            "marginal ordering violated at zero allocation; "
-            "are the probability models identical?"
+            f"the zero-allocation levels of {i.id} and {j.id} tie at baseline {i.prob_model.baseline:g}: "
+            "the threshold is below what L resolves" if i.prob_model == j.prob_model
+            else "marginal ordering violated at zero allocation"
         )
     return float(_threshold_matrix([i], [j], behavior.gamma)[0, 0])
 

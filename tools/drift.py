@@ -5,8 +5,9 @@
     python tools/drift.py pairs BASE HEAD OUT   # time BASE against HEAD, into OUT/pairs.json
     python tools/drift.py gate               # this tree's gated runs; exit 1 unless each is correct
 
-collect runs in one interpreter with TREE's src, tests and bench first on
-sys.path, and records what TREE's code prints or raises:
+collect lists each file of TREE's src, tests and bench with its lines and sha256,
+for src's size and the edited tests, then runs in one interpreter with TREE's src,
+tests and bench first on sys.path, and records what TREE's code prints or raises:
 * every verb on the shipped scenarios (TREE/scenarios/*.yaml) and their
   canonical rewrites, which stay byte-identical unless a change says why;
 * each shipped sweep's op_a/op_b iterations: sweep-tau starts each point from
@@ -21,7 +22,7 @@ sys.path, and records what TREE's code prints or raises:
   scores rounds whose L overflows. A change to the round rule
   can turn an exit 5 into a quiet wrong answer. So can one to op_a's stop
   rule: where waterfill applies, each row adds solve_op_a's exit or
-  iterations and aggregate error.
+  iterations, aggregate error and any RuntimeWarnings.
 
 pairs runs each tree's own bench/run.py (RUN) on each workload of BENCHMARK.json,
 one pair per seed, BASE first at odd seeds; summary adds a verdict per metric.
@@ -34,11 +35,12 @@ round of calls; it exits 1 where a run is not correct or prints no JSON.
 """
 
 import contextlib, csv, difflib, functools, hashlib, io, json, math, os, statistics, subprocess, sys, tempfile, warnings  # noqa: E401
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUN, SEEDS = "bench/run.py --workload {} --seed {} --seconds {} --trace {}", range(11, 21)
 VERBS = ("solve --mode op_a", "solve --mode op_b", "waterfill", "admm", "sweep-gamma", "sweep-tau")
+SOURCE = "src/secalloc/*.py"  # the files whose lines the roadmap caps
 
 # README's Known limits for admm and op_a, complete: (name, loss values, supplies, family, baseline, gamma)
 KNOWN_LIMITS = [(f"U {u:g} and 0.75 U, source 1, gamma 0.5", [u, 0.75 * u], [1], "exponential", 1.0, 0.5)
@@ -128,18 +130,14 @@ def workload_calls(tree):
 
 
 def known_limits(tree):
+    from helpers import complete_network
     from secalloc import admm, centralized, errors, model, scenario_io, waterfill
     from test_admm_binding_caps import NETWORKS
 
-    def complete(losses, supplies, family, baseline):
-        prob = model.AttackProbabilityModel(family, baseline)
-        return model.TransportNetwork.complete(
-            tuple(model.TargetSpec(f"t{k + 1}", float(u), prob) for k, u in enumerate(losses)),
-            tuple(model.SourceSpec(f"s{k + 1}", float(q)) for k, q in enumerate(supplies)))
-
-    cases = [(name, complete(*network), gamma) for name, *network, gamma in KNOWN_LIMITS]
-    scenarios = {name: scenario_io.parse_scenario(text) for name, text in NETWORKS.items()}
-    cases += [(f"binding caps {name}", s.network, s.behavior.gamma) for name, s in scenarios.items()]
+    cases = [(name, complete_network([*map(float, losses)], [*map(float, supplies)], baseline, family), gamma)
+             for name, losses, supplies, family, baseline, gamma in KNOWN_LIMITS]
+    cases += [(f"binding caps {name}", (s := scenario_io.parse_scenario(text)).network, s.behavior.gamma)
+              for name, text in NETWORKS.items()]
 
     def outcome(solve, unit):  # on the loop's network, against its reference: the row's text and the trace
         try:
@@ -151,6 +149,10 @@ def known_limits(tree):
         error = max(abs(report.plan.aggregate_at_target(t) - a) for t, a in reference.items())
         text = f"{report.iterations} {unit}, aggregates {error / network.total_supply():.2g} of the budget off {against}"
         return text, report.residual_trace
+
+    def heard(caught):  # how many RuntimeWarnings were caught, and each message once
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        return f"{len(warned)} RuntimeWarning{'s' * (len(warned) != 1)}" + "".join(f" ({m})" for m in dict.fromkeys(warned))
 
     lines = []
     for name, network, gamma in cases:
@@ -164,17 +166,16 @@ def known_limits(tree):
         except Exception as exc:
             lines.append(f"- {name}: {type(exc).__name__} ({exc})")
             continue
-        with counting(admm, ("marginal_perceived_cost",)) as evaluations, \
-                warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught:  # each solve's warnings, counted apart
             warnings.simplefilter("always", RuntimeWarning)
-            text, trace = outcome(admm.run_admm, "rounds")
+            with counting(admm, ("marginal_perceived_cost",)) as evaluations:
+                text, trace = outcome(admm.run_admm, "rounds")
+            split = len(caught)
+            op_a = f"; op_a {outcome(centralized.solve_op_a, 'iterations')[0]}" if against == "waterfill" else ""
         nans = sum(math.isnan(record.objective) for record in trace)
-        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        row = (f"- {name}: {text}, {evaluations[0]} marginal evaluations, {nans} nan objectives, "
-               f"{len(warned)} RuntimeWarning{'s' * (len(warned) != 1)}" + "".join(f" ({m})" for m in dict.fromkeys(warned)))
-        if against == "waterfill":
-            row += f"; op_a {outcome(centralized.solve_op_a, 'iterations')[0]}"
-        lines.append(row)
+        warned = heard(caught[split:])  # op_a's, named only where it has any
+        lines.append(f"- {name}: {text}, {evaluations[0]} marginal evaluations, {nans} nan objectives, "
+                     f"{heard(caught[:split])}{op_a}" + ("" if warned.startswith("0 ") else f", {warned}"))
     return lines
 
 
@@ -182,6 +183,7 @@ def collect(tree, out):
     tree, out = os.path.abspath(tree), Path(out).absolute()
     sys.path[:0] = [os.path.join(tree, part) for part in ("src", "tests", "bench")]
     (out / "reports").mkdir(parents=True)
+    (out / "files.txt").write_text("".join(f"{name} {lines} {digest}\n" for name, lines, digest in files(tree)))
     stopped = ""
     for part in (shipped, workload_calls, known_limits):
         try:
@@ -191,6 +193,13 @@ def collect(tree, out):
             lines, stopped = [], stopped + f"{part.__name__} stopped: {type(exc).__name__}: {exc}\n"
         (out / f"{part.__name__}.txt").write_text("".join(f"{line}\n" for line in lines))
     (out / "stopped.txt").write_text(stopped)
+
+
+def files(tree):
+    """(path, lines as wc -l counts them, sha256) of each file of TREE's src, tests and bench but __pycache__."""
+    paths = (path for part in ("src", "tests", "bench") for path in Path(tree, part).rglob("*") if path.is_file())
+    return sorted((path.relative_to(tree).as_posix(), (data := path.read_bytes()).count(b"\n"), hashlib.sha256(data).hexdigest())
+                  for path in paths if "__pycache__" not in path.relative_to(tree).parts)
 
 
 def pairs(base, head, out):
@@ -209,12 +218,10 @@ def pairs(base, head, out):
             values = ({seed: round(run["metrics"][name]["value"], 4) for seed, run in runs[side].items()} for side in trees)
             blocks[workload][name] = timing(*values, better)
     import numpy, yaml  # noqa: E401
-    cpuinfo = read(Path("/proc/cpuinfo")).splitlines()
-    cpu = [line.split(":")[1].strip() for line in cpuinfo if line.startswith("model name")] or [os.uname().machine]
+    cpu = [line.split(":")[1].strip() for line in read(Path("/proc/cpuinfo")).splitlines() if line.startswith("model name")]
     machine = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": numpy.__version__, "pyyaml": yaml.__version__,
-               "with_libyaml": yaml.__with_libyaml__, "nproc": os.cpu_count(), "cpu": cpu[0]}
-    lines = {side: sum(path.read_bytes().count(b"\n") for path in Path(tree, "src", "secalloc").glob("*.py"))
-             for side, tree in trees.items()}
+               "with_libyaml": yaml.__with_libyaml__, "nproc": os.cpu_count(), "cpu": (cpu or [os.uname().machine])[0]}
+    lines = {side: sum(n for name, n, _ in files(tree) if PurePosixPath(name).match(SOURCE)) for side, tree in trees.items()}
     Path(out).mkdir(parents=True, exist_ok=True)
     Path(out, "pairs.json").write_text(json.dumps({
         "command": f"python3 {RUN.format('<workload>', '<seed>', 5, 0)}", "pairs": "seeds 11-20, one pair per seed and "
@@ -285,17 +292,28 @@ def summary(root):
     if "HEAD" not in trees:  # DIR holds pairs.json alone
         return
     lines = {(tree, part): read(Path(root, tree, f"{part}.txt")).splitlines()
-             for tree in trees for part in ("stopped", "shipped", "workload_calls", "known_limits")}
+             for tree in trees for part in ("stopped", "files", "shipped", "workload_calls", "known_limits")}
     for tree in trees:
         print("".join(f"At {tree}, {line}\n" for line in lines[tree, "stopped"]), end="")
+    listed = {tree: dict(line.split(" ", 1) for line in lines[tree, "files"]) for tree in trees if lines[tree, "files"]}
+    counts = [{name: int(row.split()[0]) for name, row in table.items() if PurePosixPath(name).match(SOURCE)}
+              for table in listed.values()]  # row: "lines sha256"
+    if listed:
+        print(f"Lines of {SOURCE}, {' -> '.join(listed)}:")
+        for name in sorted(set().union(*counts)):
+            print(f"- {name}: " + " -> ".join(str(count.get(name, "absent")) for count in counts))
+        print("- total: " + " -> ".join(str(sum(count.values())) for count in counts))
+    if len(listed) == 2:  # existing files of tests/ and bench/ whose bytes differ
+        base, head = listed.values()
+        edited = [f"- {n}" for n in sorted(base.keys() & head.keys()) if n.startswith(("tests/", "bench/")) and base[n] != head[n]]
+        print("Existing files of tests/ and bench/ edited against base:", *edited or ["none"], sep="\n")
     print("ADMM on the Known-limits networks, HEAD:", *lines["HEAD", "known_limits"], sep="\n")
-    if len(trees) == 2:  # base's rows only where they differ from HEAD's row of the same name
-        head = {row.split(": ", 1)[0]: row for row in lines["HEAD", "known_limits"]}
-        base = lines["base", "known_limits"]
-        moved = [row for row in base if head.get(row.split(": ", 1)[0]) != row]
+    if len(trees) == 2:  # base's rows only where HEAD has no such row (the rows' names are unique)
+        base, head = lines["base", "known_limits"], lines["HEAD", "known_limits"]
+        moved = [row for row in base if row not in head]
         if moved or len(base) != len(head):
-            count = f"{len(base)} row{'s' * (len(base) != 1)}"
-            print(f"ADMM on the Known-limits networks, base ({count}), where it differs from HEAD:", *moved, sep="\n")
+            print(f"ADMM on the Known-limits networks, base ({len(base)} row{'s' * (len(base) != 1)}), "
+                  "where it differs from HEAD:", *moved, sep="\n")
         else:
             print(f"ADMM on the Known-limits networks, base: all {len(base)} rows match HEAD's")
     runs = {tree: dict(line.split(" ", 1) for line in lines[tree, "shipped"]) for tree in trees}

@@ -66,9 +66,6 @@ __all__ = [
 
 Edge = Tuple[str, str]
 
-# run_admm doubles or halves eta while one residual exceeds the other by
-# _BALANCE_RATIO, only in the first _BALANCE_ROUNDS rounds: a penalty that
-# stops changing keeps ADMM's convergence guarantee (He, Yang & Wang 2000)
 _BALANCE_ROUNDS = 400
 _BALANCE_RATIO = 10.0
 
@@ -333,6 +330,31 @@ def _out_of_range(iteration: int, eta: float, why: str, trace) -> ConvergenceErr
     )
 
 
+def _end_round(previous, consensus, target_props, source_props, eta, iteration, config):
+    """A round's primal residual max|t - s|, its consensus move
+    max|c - previous| (eta times it is the dual residual, Boyd et al. 2011,
+    section 3.3), whether the consensus is finite, the next eta, and whether
+    both residuals are within tolerance at this eta. eta doubles where the
+    primal residual exceeds _BALANCE_RATIO times the dual one and halves in
+    the opposite case (section 3.4.1), only in the first _BALANCE_ROUNDS
+    rounds: a penalty that stops changing keeps ADMM's convergence guarantee
+    (He, Yang & Wang 2000); the duals are prices, not scaled by eta, and
+    carry over. Out of the float range numpy warns unless np.errstate is set."""
+    primal = float(np.maximum.reduce(np.abs(target_props - source_props)))
+    drift = float(np.maximum.reduce(np.abs(consensus - previous)))
+    # previous is finite, so a finite drift (max propagates nan) has a
+    # finite consensus; an infinite one may come from the subtraction
+    finite = math.isfinite(drift) or np.logical_and.reduce(np.isfinite(consensus))
+    next_eta = eta
+    if iteration <= _BALANCE_ROUNDS:
+        if primal > _BALANCE_RATIO * eta * drift:
+            next_eta = eta * 2.0
+        elif eta * drift > _BALANCE_RATIO * primal:
+            next_eta = eta * 0.5
+    converged = primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance
+    return primal, drift, finite, next_eta, converged
+
+
 def run_admm(
     network: TransportNetwork,
     behavior: BehavioralModel,
@@ -340,23 +362,12 @@ def run_admm(
 ) -> SolveReport:
     """Run the four-step consensus iteration until both sides agree.
 
-    The round state is edge-ordered arrays, and no agent or mapping is built
-    per round: each target runs the agents' Newton kernel on its slice of
-    b = consensus - duals/eta from its last total, bit for bit the protocol.
-    Each round over-relaxes the proposals as ``message_bus_round`` does:
-    the consensus becomes a times their mean plus (1 - a) times the last
-    consensus, a = _RELAXATION, and the duals move by (eta/2) a times
-    their gap. Terminates when the worst per-edge raw disagreement
-    |pi^t - pi^s| (the primal residual) falls below ``primal_tolerance``
-    and eta times the worst per-edge consensus move (the dual residual,
-    Boyd et al. 2011, section 3.3) below ``dual_tolerance``. The penalty
-    starts at ``config.eta``; in the first ``_BALANCE_ROUNDS`` rounds it doubles
-    while the primal residual exceeds ``_BALANCE_RATIO`` times the dual
-    residual and halves in the opposite case (section 3.4.1), and then
-    stays fixed. A starting penalty far below the problem's scale sends the
-    iterates out of the float range: the round where an agent's solve
-    raises DomainError, or where the consensus is not finite, raises
-    ConvergenceError.
+    The rounds are the protocol's bit for bit, on edge arrays as the module
+    docstring says, and ``_end_round`` balances the penalty from
+    ``config.eta`` and stops the run. A starting penalty far below the
+    problem's scale sends the iterates out of the float range: the round
+    where an agent's solve raises DomainError, or where the consensus is not
+    finite, raises ConvergenceError.
     """
     index = network.edge_index
     # the projector rejects infeasible totals; a network infeasible only at
@@ -410,22 +421,14 @@ def run_admm(
             target, source = _relax((target_props, source_props), previous)
             consensus = 0.5 * (target + source)
             duals = duals + 0.5 * eta * (target - source)
-            primal = float(np.maximum.reduce(np.abs(target_props - source_props)))
-            drift = float(np.maximum.reduce(np.abs(consensus - previous)))
-            # previous is finite, so a finite drift (max propagates nan) has a
-            # finite consensus; an infinite one may come from the subtraction
-            finite = math.isfinite(drift) or np.logical_and.reduce(np.isfinite(consensus))
-            if iteration <= _BALANCE_ROUNDS:
-                # the duals are prices, not scaled by eta, so they carry over
-                if primal > _BALANCE_RATIO * eta * drift:
-                    eta *= 2.0
-                elif eta * drift > _BALANCE_RATIO * primal:
-                    eta *= 0.5
+            primal, _, finite, eta, converged = _end_round(
+                previous, consensus, target_props, source_props, round_eta, iteration, config
+            )
             b, shifted = points()
         if not finite:
             raise _out_of_range(iteration, round_eta, "the consensus is not finite", traced())
         rounds.append((iteration, primal, consensus))
-        if primal <= config.primal_tolerance and round_eta * drift <= config.dual_tolerance:
+        if converged:
             # the consensus meets each bound only to within the tolerances
             return _report(network, behavior, project(consensus), iteration, traced())
         if len(rounds) * len(consensus) >= _TRACE_BATCH:

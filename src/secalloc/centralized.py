@@ -264,10 +264,12 @@ def _pgd(
     (reciprocal r 2) ran out of iterations from a budget of 1e7 up. Where x
     moved and the scaled gradient did not (y'y is 0: a utility slope of
     1e200 sets a cost scale under which the loss gradients underflow), alpha
-    doubles up to the clamp; where x did not move, or s'y <= 0 and y'y > 0,
-    it is ``step_size`` again. Doubling, or the clamp, there too made that
-    run at 1e10 exit 5: Armijo failed, x stayed, and a longer step failed
-    again (``tests/test_budget_units.py``).
+    doubles up to the clamp; where x did not move, where s'y <= 0 and
+    y'y > 0, or where s'y or y'y overflows (a marginal of 3e209 at a zero
+    total, on U 1e17 at baseline 1e-300), it is ``step_size`` again.
+    Doubling, or the clamp, there too made that run at 1e10 exit 5: Armijo
+    failed, x stayed, and a longer step failed again
+    (``tests/test_budget_units.py``).
     Converged when ||d|| / min(alpha, 1), an upper bound on the unit-step
     projected-gradient norm, falls below ``gradient_tolerance`` in units of
     amount (below), or when the objective changes by at most
@@ -328,11 +330,14 @@ def _pgd(
             stall = 0
         g_new = gradient(x_new) / scale
         s, y = x_new - x, g_new - g
-        sy, yy = float(s @ y), float(y @ y)
-        if sy > 0 and yy > 0:
-            bb1, bb2 = float(s @ s) / sy, sy / yy
+        # np.vdot is the same BLAS dot as @ on these 1-D float arrays, but warns
+        # nothing where the sum overflows to inf; np.errstate around @ cost
+        # about 3% of an iteration
+        sy, yy = float(np.vdot(s, y)), float(np.vdot(y, y))
+        if 0 < sy < math.inf and 0 < yy < math.inf:
+            bb1, bb2 = float(np.vdot(s, s)) / sy, sy / yy
             alpha = min(max(bb1 if bb2 < _BB_KAPPA * bb1 else bb2, _MIN_ALPHA), max_alpha)
-        elif yy == 0 and float(s @ s) > 0:  # x moved and the gradient did not
+        elif yy == 0 and float(np.vdot(s, s)) > 0:  # x moved and the gradient did not
             alpha = min(2.0 * alpha, max_alpha)
         else:
             alpha = config.step_size

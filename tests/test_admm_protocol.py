@@ -9,6 +9,8 @@ every round's trace record, the final consensus and the error that ends a
 run out of the float range must equal the protocol's exactly.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -51,23 +53,17 @@ def protocol_run(network, behavior, config):
                 agent.solve(eta)
         except DomainError as exc:
             raise admm._out_of_range(iteration, eta, str(exc), trace) from exc
-        previous = consensus
+        previous, round_eta = consensus, eta
         states = message_bus_round(agents, states, eta)
-        consensus = np.array([states[e].consensus for e in network.edges])
-        if not np.isfinite(consensus).all():
-            raise admm._out_of_range(iteration, eta, "the consensus is not finite", trace)
-        primal = max(
-            abs(s.last_target_proposal - s.last_source_proposal) for s in states.values()
+        consensus, _, targets, sources = map(np.array, zip(*(astuple(states[e]) for e in network.edges)))
+        primal, _, finite, eta, converged = admm._end_round(
+            previous, consensus, targets, sources, round_eta, iteration, config
         )
-        drift = float(np.abs(consensus - previous).max())
+        if not finite:
+            raise admm._out_of_range(iteration, round_eta, "the consensus is not finite", trace)
         trace.append(TraceRecord(iteration, primal, objective(consensus)))
-        if primal <= config.primal_tolerance and eta * drift <= config.dual_tolerance:
+        if converged:
             return trace, consensus
-        if iteration <= admm._BALANCE_ROUNDS:
-            if primal > admm._BALANCE_RATIO * eta * drift:
-                eta *= 2.0
-            elif eta * drift > admm._BALANCE_RATIO * primal:
-                eta *= 0.5
     raise AssertionError("the protocol did not converge")
 
 

@@ -1,9 +1,9 @@
 """Valid numbers whose products or sums leave the float range.
 
-``_pgd`` takes ``step_size`` where y'y underflows to 0 while s'y > 0, as
-where s'y <= 0: a utility slope of 1e200 sets a cost scale under which the
-other target's scaled gradient barely moves. ``TransportNetwork`` rejects a
-network whose total supply, or whose largest reachable source utility,
+``_pgd`` doubles its step where x moved and y'y underflows to 0: a utility
+slope of 1e200 sets a cost scale under which the other target's scaled
+gradient barely moves. ``TransportNetwork`` rejects a network whose total
+supply, or whose largest reachable source utility,
 sum_y supply_upper_y * max_x |tau_y c_xy|, overflows; ``parse_scenario``
 reports it as a line-anchored ScenarioError, so every verb exits 2.
 """
@@ -54,7 +54,7 @@ def test_every_verb_exits_with_its_code_and_writes_no_nan(name, verb, tmp_path, 
         assert written == [] and "line 7: sources: " in capsys.readouterr().err
 
 
-def test_op_b_takes_the_fixed_step_where_y_y_underflows():
+def test_op_b_doubles_the_step_where_y_y_underflows():
     scenario = parse_scenario(text("BB step"))
     report = centralized.solve_op_b(scenario.network, scenario.behavior)
     assert report.converged and report.iterations == 2

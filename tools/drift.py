@@ -58,6 +58,7 @@ KNOWN_LIMITS += [(f"U 12/6/1e-9, baseline 1e-20, source 1, gamma {g:g}", [12, 6,
                  for g in (0.01, 0.1)]
 KNOWN_LIMITS += [("U 1.5e308 and 1e300, baseline 1e-300, source 1e-300, gamma 0.5", [1.5e308, 1e300], [1e-300],
                   "exponential", 1e-300, 0.5)]
+KNOWN_LIMITS += [("U 1e17 and 1, baseline 1e-300, source 1, gamma 0.3", [1e17, 1], [1], "exponential", 1e-300, 0.3)]
 
 
 def run_cli(tree, argv):

@@ -5,8 +5,8 @@ lower <= sum v <= upper}. A nan bound, an infinite lower bound or crossed
 bounds leave no finite total to project onto: each raises DomainError
 rather than return nan, inf or a clip of one bound. A negative total keeps
 its own message. On bounds that allow a finite total, an infinite upper
-bound included, the projection shifts each vector as the solvers' own
-rule ``_shifts`` does.
+bound and a negative lower one included, the projection shifts each
+vector as the solvers' own rule ``_shifts`` does.
 """
 
 import numpy as np
@@ -45,9 +45,18 @@ def test_a_negative_total_keeps_its_message():
     assert not isinstance(info.value, DomainError)
 
 
+def test_a_negative_upper_bound_keeps_its_message():
+    with pytest.raises(ValueError, match="^total must be >= 0$") as info:
+        project_box_sum(np.array(ROW), -2.0, -1.0)
+    assert not isinstance(info.value, DomainError)
+
+
 @pytest.mark.parametrize(
     "values, lower, upper",
-    [(ROW, 0.0, 5.0), (ROW, 0.0, INF), (ROW, 2.0, INF), (ROW, 0.0, 0.5), (ROW, 0.7, 0.7), ([4.0, -1.0, 2.5], 1.0, 3.0)],
+    [
+        (ROW, 0.0, 5.0), (ROW, 0.0, INF), (ROW, 2.0, INF), (ROW, 0.0, 0.5), (ROW, 0.7, 0.7),
+        ([4.0, -1.0, 2.5], 1.0, 3.0), (ROW, -1.0, 0.5), (ROW, -1.0, -0.0),
+    ],
 )
 def test_finite_bounds_shift_as_the_solvers_rule(values, lower, upper):
     v = np.array(values)

@@ -80,14 +80,6 @@ class SolverConfig:
         check_fields("SolverConfig", self)
 
 
-def _threshold(v: np.ndarray, total: float) -> float:
-    """The theta for which max(v - theta, 0) is the Euclidean projection of v
-    onto {x >= 0, sum x = total}: ``_row_thresholds`` of v as one row."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    return float(_row_thresholds(v[None, :], np.array([total]))[0])
-
-
 def _finite(v: np.ndarray) -> np.ndarray:
     """v, unless an entry is inf or nan: such a vector has no projection."""
     if not np.logical_and.reduce(np.isfinite(v), axis=None):
@@ -96,20 +88,22 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 
 def project_capped_sum(values: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto the capped simplex {v >= 0, sum v = total}."""
+    """Euclidean projection onto the capped simplex {v >= 0, sum v = total}:
+    project_box_sum with both bounds at total, one row of ``_shifts``."""
     return project_box_sum(values, total, total)
 
 
 def project_box_sum(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Euclidean projection onto {v >= 0, lower <= sum v <= upper}: the shift
-    is 0 when clipping fits, else the threshold onto the nearer bound."""
+    """Euclidean projection onto {v >= 0, lower <= sum v <= upper}: v as one
+    node's row of the projector's shift rule, ``_shifts``."""
     if not (math.isfinite(lower) and lower <= upper):
         raise DomainError(f"bounds [{lower}, {upper}] allow no finite total")
     v = _finite(np.asarray(values, dtype=float))
     if not (v.size or lower <= 0.0 <= upper):  # an empty vector's only total is 0
         raise DomainError(f"bounds [{lower}, {upper}] allow no total of an empty vector")
-    s = float(np.maximum(v, 0.0).sum())
-    shift = 0.0 if lower <= s <= upper else _threshold(v, upper if s > upper else lower)
+    if upper < 0.0:  # a sum of clipped entries is never negative
+        raise ValueError("total must be >= 0")
+    ((_, shift),) = _shifts(v, [(np.arange(v.size)[None, :], np.array([lower]), np.array([upper]))])
     return np.maximum(v - shift, 0.0)
 
 
@@ -163,9 +157,10 @@ def _row_thresholds(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _shifts(v: np.ndarray, groups: list):
-    """The shift of every node of one side, a degree group at a time: 0 where
-    clipping fits the node's bounds, else the threshold onto the nearer
-    bound (as in project_box_sum). Yields each group's positions and shifts."""
+    """Every node's shift on one side, a degree group at a time: max(r - shift, 0)
+    projects a node's entries r onto {r >= 0, lower <= sum r <= upper}, with
+    shift 0 where the clipped sum fits, else the threshold onto the nearer
+    bound. Every projection takes its shift here; yields positions and shifts."""
     for positions, lower, upper in groups:
         rows = v[positions]
         s = np.add.reduce(np.maximum(rows, 0.0), axis=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from secalloc import cli
-from secalloc.centralized import _row_thresholds, _threshold
+from secalloc.centralized import _row_thresholds
 from test_cli import SCENARIO_DIR, read_report
 
 FLOOR_1000 = """\
@@ -40,8 +40,7 @@ def test_admm_past_probability_underflow(tmp_path, capsys):
 def test_threshold_without_a_qualifying_index_matches_rows():
     # u - theta rounds to 0 at the first index and is negative at the last
     v = np.array([1e20, -1e20])
-    want = _row_thresholds(v[None, :], np.array([1.0]))[0]
-    assert _threshold(v, 1.0) == want == 1e20
+    assert _row_thresholds(v[None, :], np.array([1.0]))[0] == 1e20
 
 
 # at this penalty the source solve's (tau c + alpha) / eta overflows to inf,

@@ -33,11 +33,11 @@ from .model import (
     TransportNetwork,
     _checked_totals,
     check_fields,
-    perceived_loss,
-    true_loss,
     # kept importable: bench/tracing.py wraps these names here
     marginal_perceived_cost,  # noqa: F401
+    perceived_loss,  # noqa: F401
     prelec_weight,  # noqa: F401
+    true_loss,  # noqa: F401
 )
 
 __all__ = [
@@ -382,13 +382,13 @@ def _report(
     iterations: int,
     trace: List[TraceRecord],
 ) -> SolveReport:
-    """The report of a converged solve that ended at the edge vector x."""
-    plan = network.edge_index.to_plan(x)
-    utility = float(network.edge_index.tau_c @ x)
-    perceived = perceived_loss(network, plan, behavior)
-    return SolveReport(
-        plan, true_loss(network, plan), perceived, utility, iterations, tuple(trace), True
-    )
+    """The report of a converged solve that ended at the edge vector x, scored
+    on x itself: the plan's amounts are x's floats, so true_loss and
+    perceived_loss on the plan give the same bits."""
+    index, totals = network.edge_index, _checked_totals(network, x)
+    true, perceived = index.loss_at(totals, 1.0), index.loss_at(totals, behavior.gamma)
+    utility = float(index.tau_c @ x)
+    return SolveReport(index.to_plan(x), true, perceived, utility, iterations, tuple(trace), True)
 
 
 def solve_op_a(

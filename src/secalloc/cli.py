@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,13 +187,8 @@ def _cmd_sweep_gamma(args, scenario: scenario_io.ScenarioFile) -> int:
 
 def _cmd_sweep_tau(args, scenario: scenario_io.ScenarioFile) -> int:
     # continuation: only tau_c changes along the grid, so each point starts
-    # from the last point's plan
-    def network_at(value):
-        return TransportNetwork(
-            scenario.network.targets,
-            tuple(replace(s, weight_tau=value) for s in scenario.network.sources),
-            scenario.network.edges,
-        )
+    # from the last point's plan, on a network that shares the parsed one's index
+    network_at = scenario.network.with_weight_tau
 
     def problem(value):  # the utility grows with tau, so --stop's network bounds the grid's
         if not 0 <= value <= 1:

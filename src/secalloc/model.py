@@ -14,10 +14,11 @@ function of its inputs, so concurrent evaluation needs no locking.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections import abc
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import accumulate
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple, get_origin, get_type_hints,
@@ -369,14 +370,33 @@ class TransportNetwork:
         # Python floats overflow to inf, not a warning
         if not math.isfinite(sum(index.loss_values.tolist())):
             raise DomainError("the total loss_value overflows")
-        supplies = index.supply_upper.tolist()
-        if not math.isfinite(sum(supplies)):
+        if not math.isfinite(sum(index.supply_upper.tolist())):
             raise DomainError("the total supply_upper overflows")
-        reach = sum(q * float(abs(index.tau_c[idx]).max()) for q, idx in zip(supplies, index.source_indices))
+        self._price(index, np.array([self.sources[spos[y]].weight_tau for _, y in self.edges]))
+
+    def _price(self, index: "EdgeIndex", weight_tau) -> None:
+        """Store ``index`` as the edge index, with tau_c the per-edge (or one)
+        ``weight_tau`` times its utility slopes; DomainError where the largest
+        utility a plan within the supplies can reach overflows."""
+        with np.errstate(over="ignore"):  # inf, as a Python float product gives, and no warning
+            tau_c = weight_tau * index.utility_slopes
+        supplies = index.supply_upper.tolist()
+        reach = sum(q * float(abs(tau_c[idx]).max()) for q, idx in zip(supplies, index.source_indices))
         if not math.isfinite(reach):
             raise DomainError("the largest source utility, the sum of supply_upper * "
                               "max |weight_tau * utility_coeffs|, overflows")
+        tau_c.flags.writeable = False
+        index.tau_c = tau_c
         object.__setattr__(self, "edge_index", index)
+
+    def with_weight_tau(self, weight_tau: float) -> "TransportNetwork":
+        """This network with every source's weight_tau set to ``weight_tau``:
+        its edge index shares every array but tau_c with this one's."""
+        network = object.__new__(TransportNetwork)
+        sources = tuple(replace(s, weight_tau=weight_tau) for s in self.sources)
+        vars(network).update(targets=self.targets, sources=sources, edges=self.edges)
+        network._price(copy.copy(self.edge_index), weight_tau)
+        return network
 
     @classmethod
     def complete(
@@ -423,10 +443,11 @@ class EdgeIndex:
     target-major order; each source gets the array of its edge positions.
     ``target_groups`` and ``source_groups`` bucket each side by edge count
     (see ``_degree_groups``): a dense row per node sums bit for bit like the
-    node's own slice. ``tau_c`` holds the per-edge utility weight
-    tau_y * c_xy; ``edge_targets`` each edge's target position. Per
-    target, in listed order, ``loss_values`` (and ``neg_loss_values``, -U),
-    ``baselines`` and ``log_rate_slopes`` (k; ``logged`` where k != 0) feed
+    node's own slice. ``utility_slopes`` holds each edge's c_xy and ``tau_c``
+    the utility weight tau_y * c_xy, which the network prices from it (see
+    ``TransportNetwork.with_weight_tau``); ``edge_targets`` each edge's
+    target position. Per target, in listed order, ``loss_values`` (and
+    ``neg_loss_values``, -U), ``baselines`` and ``log_rate_slopes`` (k; ``logged`` where k != 0) feed
     the kernel, and ``demand_lower``/``demand_upper`` (per source, ``supply_lower``/
     ``supply_upper``) the bounds. Built by :class:`TransportNetwork`; arrays read-only.
     """
@@ -442,18 +463,17 @@ class EdgeIndex:
         self.source_pos = source_pos
         sizes = [0] * len(network.targets)
         members: List[List[int]] = [[] for _ in network.sources]
-        tau_c = np.empty(len(self.edges))
+        slopes = np.empty(len(self.edges))
         for k, (x, y) in enumerate(self.edges):
             sizes[target_pos[x]] += 1
             members[source_pos[y]].append(k)
-            source = network.sources[source_pos[y]]
-            tau_c[k] = source.weight_tau * source.utility_slope(x)
+            slopes[k] = network.sources[source_pos[y]].utility_slope(x)
         ends = accumulate(sizes)
         self.target_slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
         self.source_indices = [np.array(m, dtype=int) for m in members]
         self.target_groups = _degree_groups([range(sl.start, sl.stop) for sl in self.target_slices])
         self.source_groups = _degree_groups(members)
-        self.tau_c = tau_c
+        self.utility_slopes = slopes
         self.edge_targets = np.repeat(np.arange(len(sizes)), sizes)
         self.loss_values = np.array([t.loss_value for t in network.targets])
         self.neg_loss_values = -self.loss_values

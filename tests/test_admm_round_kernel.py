@@ -7,8 +7,10 @@ order. Two more networks check the protocol equality where the array
 round takes its other branches: sources of different degrees whose supply
 bounds hold for some and bind for others in the same round (every branch
 of ``centralized._shifts``), and a target held up by its ``demand_lower``
-(the floor of the target clamp). A unit test pins ``_shifts`` to the
-per-row ``project_box_sum`` byte for byte.
+(the floor of the target clamp). A unit test pins ``_shifts`` on batched
+degree groups to ``project_box_sum``, which runs ``_shifts`` on one row,
+byte for byte: a check of the batching, not of the shift rule, which
+``tests/test_shifts_reference.py`` pins to an independent per-row reference.
 """
 
 import math
